@@ -87,7 +87,6 @@ from .graphs import (
 )
 from .linalg import (
     CommuteTimeEmbedding,
-    IncrementalPseudoinverse,
     LaplacianSolver,
     commute_time_matrix,
     laplacian,
@@ -135,7 +134,6 @@ __all__ = [
     "GraphConstructionError",
     "GraphSnapshot",
     "HealthReport",
-    "IncrementalPseudoinverse",
     "InvariantDetector",
     "LadDetector",
     "LaplacianSolver",

@@ -197,16 +197,13 @@ def _configure_state(document: dict[str, Any]) -> None:
             cache_budget_mb=spec.get("cache_budget_mb"),
             delta_budget=spec.get("delta_budget"),
         )
-        extra = {}
-        if config.delta_budget is not None:
-            extra["delta_budget"] = config.delta_budget
         calculator = CommuteTimeCalculator(
             method=config.method, k=config.k,
             seed=config.root_entropy, solver=config.solver,
             tol=config.tol, seed_mode="content",
             factor_cache=config.factor_cache,
             cache_budget_mb=config.cache_budget_mb,
-            **extra,
+            delta_budget=config.delta_budget,
         )
     parallel_worker._STATE.clear()
     parallel_worker._STATE.update(

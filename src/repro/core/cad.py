@@ -53,8 +53,9 @@ class CadDetector(Detector):
             :mod:`repro.linalg.factorcache`).
         cache_budget_mb: factor-cache byte budget.
         delta_budget: maximum edge-delta absorbed by rank-one factor
-            updates before a fresh factorization (0 = identity reuse
-            only, bit-for-bit).
+            updates before a fresh factorization (0 = cold solves and
+            identity reuse only, bit-for-bit; default: 64 with a factor
+            cache, 0 without).
     """
 
     name = "CAD"
@@ -68,14 +69,11 @@ class CadDetector(Detector):
                  factor_cache=None,
                  cache_budget_mb: float | None = None,
                  delta_budget: int | None = None):
-        extra = {}
-        if delta_budget is not None:
-            extra["delta_budget"] = delta_budget
         self._calculator = CommuteTimeCalculator(
             method=method, k=k, seed=seed, solver=solver,
             exact_limit=exact_limit, seed_mode=seed_mode,
             factor_cache=factor_cache, cache_budget_mb=cache_budget_mb,
-            **extra,
+            delta_budget=delta_budget,
         )
 
     @property

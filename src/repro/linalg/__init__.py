@@ -47,7 +47,6 @@ from .solvers import (
 )
 from .sparsify import effective_resistances, sparsify
 from .updates import (
-    IncrementalPseudoinverse,
     rank_one_merge_update,
     rank_one_update,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "CommuteTimeEmbedding",
     "DISTANCE_REGISTRY",
     "FactorCache",
-    "IncrementalPseudoinverse",
     "LaplacianSolver",
     "block_conjugate_gradient",
     "commute_distance_matrix",

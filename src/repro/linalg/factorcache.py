@@ -1,10 +1,11 @@
 """Content-addressed factorization reuse across snapshots and sessions.
 
-CAD's dominant cost is the per-snapshot Laplacian solve — ~72 s serial
-for one 5k-node exact transition (BENCH_parallel.json) even though
-consecutive snapshots typically differ by a handful of edges and
-identical snapshots are pushed repeatedly (checkpoint restores,
-retried shards, several users watching one feed). This module removes
+CAD's dominant cost is the per-snapshot Laplacian solve — ~265 s for
+one dense 5k-node pseudoinverse (BENCH_streaming.json: two ``pinv``
+spans, 530.6 s) even though consecutive snapshots typically differ by
+a handful of edges and identical snapshots are pushed repeatedly
+(checkpoint restores, retried shards, several users watching one
+feed). This module removes
 the redundancy at two tiers:
 
 1. **Identity reuse** — a bounded, byte-budgeted LRU keyed by the
@@ -26,7 +27,10 @@ the redundancy at two tiers:
    cold solves to ~1e-10 but not bit-for-bit, so they are tagged
    ``exactness="updated"`` and only ever served to calculators that
    opted into delta updates; strict consumers see only ``"cold"``
-   entries.
+   entries. The delta tier itself needs no cache: a calculator with
+   ``delta_budget > 0`` (e.g. a ``StreamingCadDetector(incremental=True)``
+   stream) advances its own last ``L^+`` and only stores the result
+   here when a cache is configured.
 
 Corrupted entries (wrong shape, non-finite values — e.g. a buggy
 caller mutated a cached array in place) are detected at lookup time,

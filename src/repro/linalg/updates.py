@@ -1,4 +1,4 @@
-"""Incremental Laplacian pseudoinverse updates (rank-one edge edits).
+"""Rank-one Laplacian pseudoinverse updates (edge edits).
 
 Consecutive snapshots of a temporal graph typically differ in a small
 number of edges, yet the exact CAD backend recomputes the O(n^3)
@@ -25,20 +25,20 @@ The identity *fails* when an edit changes the component structure
   component blocks in O(n^2), so growing graphs never trigger a full
   recompute.
 * **Splits** — removing the last path inside a component — are
-  detected via the near-zero Sherman–Morrison denominator and still
-  fall back to recomputation (the split case has no comparably simple
-  update because the new null vector depends on the post-split
-  component membership).
+  detected via the near-zero Sherman–Morrison denominator; the caller
+  must recompute (the split case has no comparably simple update
+  because the new null vector depends on the post-split component
+  membership).
+
+:func:`~repro.linalg.factorcache.updated_pseudoinverse` applies these
+per transition; it is the only engine that advances an ``L^+``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..exceptions import SolverError
-from ..graphs.snapshot import GraphSnapshot
-from .pseudoinverse import laplacian_pseudoinverse
 
 #: Denominators closer to zero than this trigger a full recompute
 #: (the edit is changing the component structure).
@@ -146,123 +146,3 @@ def rank_one_merge_update(pseudoinverse: np.ndarray,
         beta / (weight * norm_sq * norm_sq)
     )
     return updated
-
-
-class IncrementalPseudoinverse:
-    """Maintains ``L^+`` of an evolving graph under edge edits.
-
-    Apply a batch of weight edits per transition; each costs O(n^2).
-    Within-component edits use the Sherman–Morrison identity; edits
-    that *merge* two components use :func:`rank_one_merge_update`
-    (growing graphs never recompute). Only a component *split*
-    (detected by a near-zero Sherman–Morrison denominator) falls back
-    to recomputation, so results always match a fresh
-    :func:`~repro.linalg.laplacian_pseudoinverse` up to roundoff.
-
-    Args:
-        snapshot: the starting graph.
-
-    Attributes:
-        recompute_count: how many full recomputations happened (for
-            observability; the initial build counts as one).
-        merge_update_count: how many component merges were absorbed by
-            the O(n^2) merge update instead of a recompute.
-    """
-
-    def __init__(self, snapshot: GraphSnapshot):
-        self._adjacency = snapshot.adjacency.tolil(copy=True)
-        self._pseudoinverse = laplacian_pseudoinverse(snapshot.adjacency)
-        self._component_labels = self._current_components()
-        self.recompute_count = 1
-        self.merge_update_count = 0
-
-    def _current_components(self) -> np.ndarray:
-        from ..graphs.operations import connected_components
-
-        _count, labels = connected_components(self._adjacency.tocsr())
-        return labels
-
-    @property
-    def pseudoinverse(self) -> np.ndarray:
-        """The current ``L^+`` (do not mutate)."""
-        return self._pseudoinverse
-
-    @property
-    def adjacency(self) -> sp.csr_matrix:
-        """The current adjacency matrix."""
-        return self._adjacency.tocsr()
-
-    def apply_edit(self, i: int, j: int, new_weight: float) -> None:
-        """Set edge ``(i, j)`` to ``new_weight`` and update ``L^+``.
-
-        Raises:
-            SolverError: on a self-loop or negative weight.
-        """
-        if i == j:
-            raise SolverError("cannot edit a self-loop")
-        if new_weight < 0:
-            raise SolverError(f"edge weight must be >= 0, got {new_weight}")
-        old_weight = float(self._adjacency[i, j])
-        delta = new_weight - old_weight
-        if delta == 0.0:
-            return
-        merges = (
-            old_weight == 0.0
-            and self._component_labels[i] != self._component_labels[j]
-        )
-        self._adjacency[i, j] = new_weight
-        self._adjacency[j, i] = new_weight
-        if merges:
-            # A new edge between components changes the null space;
-            # the Sherman–Morrison identity does not apply (and would
-            # *not* fail loudly — its denominator stays ~1). Meyer's
-            # out-of-range rank-one update joins the two blocks in
-            # O(n^2); the components then relabel by union.
-            self._pseudoinverse = rank_one_merge_update(
-                self._pseudoinverse, i, j, new_weight,
-                self._component_labels,
-            )
-            labels = self._component_labels
-            labels[labels == labels[j]] = labels[i]
-            self.merge_update_count += 1
-            return
-        try:
-            self._pseudoinverse = rank_one_update(
-                self._pseudoinverse, i, j, delta
-            )
-        except SolverError:
-            self._recompute()
-
-    def advance_to(self, snapshot: GraphSnapshot) -> int:
-        """Apply every edge difference to reach ``snapshot``.
-
-        Returns:
-            The number of edge edits applied.
-        """
-        target = snapshot.adjacency
-        current = self._adjacency.tocsr()
-        difference = (target - current).tocoo()
-        edits = 0
-        for i, j, _change in zip(difference.row, difference.col,
-                                 difference.data):
-            if i < j:
-                self.apply_edit(int(i), int(j), float(target[i, j]))
-                edits += 1
-        return edits
-
-    def commute_times(self, rows: np.ndarray,
-                      cols: np.ndarray) -> np.ndarray:
-        """Commute times for node pairs from the maintained ``L^+``."""
-        from .pseudoinverse import commute_times_for_pairs
-
-        return commute_times_for_pairs(
-            self._adjacency.tocsr(), rows, cols,
-            pseudoinverse=self._pseudoinverse,
-        )
-
-    def _recompute(self) -> None:
-        self._pseudoinverse = laplacian_pseudoinverse(
-            self._adjacency.tocsr()
-        )
-        self._component_labels = self._current_components()
-        self.recompute_count += 1

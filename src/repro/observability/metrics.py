@@ -17,6 +17,7 @@ in :mod:`repro.observability.export` renders directly.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Any
 
 #: Default histogram buckets, tuned for span durations in seconds.
@@ -24,8 +25,9 @@ DEFAULT_BUCKETS = (
     1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0,
 )
 
-#: How many completed span events the registry retains for the
-#: document's ``recent_spans`` section (aggregates are unbounded).
+#: How many of the most recent completed span events the registry
+#: retains for the document's ``recent_spans`` section (aggregates are
+#: unbounded).
 MAX_RECENT_SPANS = 256
 
 _LabelKey = tuple[tuple[str, str], ...]
@@ -141,7 +143,9 @@ class MetricsRegistry:
         self._gauges: dict[_MetricKey, float] = {}
         self._histograms: dict[_MetricKey, _HistogramData] = {}
         self._spans: dict[str, _SpanStats] = {}
-        self._recent_spans: list[dict[str, Any]] = []
+        self._recent_spans: deque[dict[str, Any]] = deque(
+            maxlen=MAX_RECENT_SPANS
+        )
 
     # -- mutators ------------------------------------------------------------
 
@@ -179,15 +183,14 @@ class MetricsRegistry:
             if stats is None:
                 stats = self._spans[name] = _SpanStats()
             stats.record(wall, cpu, error)
-            if len(self._recent_spans) < MAX_RECENT_SPANS:
-                self._recent_spans.append({
-                    "name": name,
-                    "parent": parent,
-                    "wall_seconds": wall,
-                    "cpu_seconds": cpu,
-                    "attrs": dict(attrs) if attrs else {},
-                    "error": bool(error),
-                })
+            self._recent_spans.append({
+                "name": name,
+                "parent": parent,
+                "wall_seconds": wall,
+                "cpu_seconds": cpu,
+                "attrs": dict(attrs) if attrs else {},
+                "error": bool(error),
+            })
 
     # -- readers -------------------------------------------------------------
 
@@ -244,7 +247,7 @@ class MetricsRegistry:
         Counters, histograms, and span aggregates sum; gauges keep the
         maximum across instances (a merged ``workers`` gauge reporting
         the larger pool is the conservative reading); recent span events
-        append up to the retention cap.
+        append, keeping the newest ``MAX_RECENT_SPANS``.
         """
         for entry in state.get("counters", []):
             self.inc(entry["name"], float(entry["value"]),
@@ -269,8 +272,6 @@ class MetricsRegistry:
                 if stats is None:
                     stats = self._spans[name] = _SpanStats()
                 stats.merge(span_state)
-            room = MAX_RECENT_SPANS - len(self._recent_spans)
-            if room > 0:
-                self._recent_spans.extend(
-                    dict(e) for e in state.get("recent_spans", [])[:room]
-                )
+            self._recent_spans.extend(
+                dict(e) for e in state.get("recent_spans", [])
+            )

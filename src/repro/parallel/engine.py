@@ -188,14 +188,11 @@ class ParallelCadDetector(Detector):
                 attempts=None,
             )
         self._chaos = chaos
-        extra = {}
-        if delta_budget is not None:
-            extra["delta_budget"] = delta_budget
         self._calculator = CommuteTimeCalculator(
             method=method, k=k, seed=seed, solver=solver,
             exact_limit=exact_limit, tol=tol, seed_mode="content",
             factor_cache=factor_cache, cache_budget_mb=cache_budget_mb,
-            **extra,
+            delta_budget=delta_budget,
         )
         #: Per-worker health reports of the last run, keyed by worker id
         #: (process id, or ``ckpt:``-prefixed for restored state).

@@ -135,15 +135,12 @@ def init_worker(config: WorkerConfig) -> None:
             GraphSnapshot._from_canonical(matrix, universe, time)
             for matrix, time in zip(attached.matrices, attached.times)
         ]
-        extra = {}
-        if config.delta_budget is not None:
-            extra["delta_budget"] = config.delta_budget
         calculator = CommuteTimeCalculator(
             method=config.method, k=config.k, seed=config.root_entropy,
             solver=config.solver, tol=config.tol, seed_mode="content",
             factor_cache=config.factor_cache,
             cache_budget_mb=config.cache_budget_mb,
-            **extra,
+            delta_budget=config.delta_budget,
         )
     _STATE.clear()
     _STATE.update(

@@ -66,10 +66,13 @@ class SessionConfig:
         detector behind :class:`~repro.detectors.StreamingDetector`)."""
         return self.method in CAD_METHODS
 
-    def cad_kwargs(self) -> dict[str, Any]:
-        """Constructor arguments for the inner ``CadDetector`` — the
-        part :meth:`StreamingCadDetector.restore` needs re-supplied."""
+    def detector_kwargs(self) -> dict[str, Any]:
+        """Full ``StreamingCadDetector`` constructor arguments."""
         return {
+            "anomalies_per_transition": self.anomalies_per_transition,
+            "warmup": self.warmup,
+            "sanitize": self.sanitize,
+            "incremental": self.incremental,
             "method": "auto" if self.method == "cad" else self.method,
             "k": self.k,
             "seed": self.seed,
@@ -80,16 +83,6 @@ class SessionConfig:
             "cache_budget_mb": self.cache_budget_mb,
         }
 
-    def detector_kwargs(self) -> dict[str, Any]:
-        """Full ``StreamingCadDetector`` constructor arguments."""
-        return {
-            "anomalies_per_transition": self.anomalies_per_transition,
-            "warmup": self.warmup,
-            "sanitize": self.sanitize,
-            "incremental": self.incremental,
-            **self.cad_kwargs(),
-        }
-
     def stream_kwargs(self) -> dict[str, Any]:
         """:class:`~repro.detectors.StreamingDetector` constructor
         arguments (non-CAD methods)."""
@@ -97,6 +90,7 @@ class SessionConfig:
         if self.seed is not None and "seed" not in options:
             options["seed"] = self.seed
         return {
+            "method": self.method,
             "anomalies_per_transition": self.anomalies_per_transition,
             "warmup": self.warmup,
             "sanitize": self.sanitize,
@@ -223,7 +217,7 @@ def _check_method(config: SessionConfig) -> None:
         )
     try:
         # Trial construction: bad option names/values fail the POST.
-        StreamingDetector(config.method, **config.stream_kwargs())
+        StreamingDetector(**config.stream_kwargs())
     except (ReproError, TypeError) as exc:
         raise BadRequestError(
             f"invalid detector_options for method "

@@ -63,7 +63,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.streaming import StreamingCadDetector
+from ..core.streaming import DetectionStream, StreamingCadDetector
 from ..detectors.streaming import StreamingDetector
 from ..exceptions import (
     CheckpointError,
@@ -119,10 +119,6 @@ from .wal import SessionWal
 
 _logger = get_logger("service.sessions")
 
-#: Either stream flavor a session may run (CAD or a registry detector).
-SessionStream = StreamingCadDetector | StreamingDetector
-
-
 def default_replica_id() -> str:
     """``<hostname>-<pid>``: stable for the process's lifetime and
     distinguishable across replicas, so lease records and failover
@@ -130,16 +126,22 @@ def default_replica_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def build_stream(config: SessionConfig) -> SessionStream:
-    """Construct the stream a session's config asks for.
+def build_stream(config: SessionConfig,
+                 checkpoint: str | Path | None = None) -> DetectionStream:
+    """Construct the stream a session's config asks for, or restore it
+    from an npz ``checkpoint``.
 
     CAD methods (``exact``/``approx``/``auto``/``cad``) get the
     commute-time stream; every other (registry) method runs behind the
     generic :class:`~repro.detectors.StreamingDetector` wrapper.
     """
     if config.uses_cad:
-        return StreamingCadDetector(**config.detector_kwargs())
-    return StreamingDetector(config.method, **config.stream_kwargs())
+        stream_class, kwargs = StreamingCadDetector, config.detector_kwargs()
+    else:
+        stream_class, kwargs = StreamingDetector, config.stream_kwargs()
+    if checkpoint is None:
+        return stream_class(**kwargs)
+    return stream_class.restore(checkpoint, **kwargs)
 
 #: Sidecar format marker written next to eviction checkpoints.
 SIDECAR_FORMAT = "repro-service-session"
@@ -171,7 +173,7 @@ class SessionRecord:
         self.session_id = session_id
         self.config = config
         self.lock = threading.Lock()
-        self.detector: SessionStream | None = build_stream(config)
+        self.detector: DetectionStream | None = build_stream(config)
         self.universe: NodeUniverse | None = None
         self.last_active = 0
         self.finalized = False
@@ -761,7 +763,7 @@ class SessionManager:
             record.wal_pending = 0
         return not empty
 
-    def _resurrect(self, record: SessionRecord) -> SessionStream:
+    def _resurrect(self, record: SessionRecord) -> DetectionStream:
         """Rebuild an evicted session's detector from the store
         (lock held)."""
         self._ensure_owner(record)
@@ -771,12 +773,7 @@ class SessionManager:
             if self._store.exists(npz_key):
                 with self._store.local_copy(npz_key,
                                             suffix=".npz") as local:
-                    if record.config.uses_cad:
-                        detector = StreamingCadDetector.restore(
-                            local, **record.config.cad_kwargs()
-                        )
-                    else:
-                        detector = StreamingDetector.restore(local)
+                    detector = build_stream(record.config, local)
             else:  # evicted before its first snapshot
                 detector = build_stream(record.config)
         record.detector = detector
@@ -1181,7 +1178,7 @@ class SessionManager:
         return parsed
 
     def _ingest(self, record: SessionRecord,
-                detector: SessionStream,
+                detector: DetectionStream,
                 parsed: list[Any],
                 degraded: bool = False) -> list[Any]:
         """Feed parsed snapshots into the stream, parallel when safe.
@@ -1208,7 +1205,7 @@ class SessionManager:
         return self._ingest_serial(record, detector, parsed)
 
     def _ingest_serial(self, record: SessionRecord,
-                       detector: SessionStream,
+                       detector: DetectionStream,
                        parsed: list[Any]) -> list[Any]:
         if record.config.sanitize is not None:
             return [
@@ -1218,20 +1215,20 @@ class SessionManager:
         return [detector.push(snapshot) for snapshot in parsed]
 
     def _should_degrade(self, record: SessionRecord,
-                        detector: SessionStream) -> bool:
+                        detector: DetectionStream) -> bool:
         """Whether this push sheds to the approximate backend.
 
         Only sessions that left method selection to the service
         (``method == "auto"``) may be shed — an explicit method choice
-        is a correctness contract. Incremental detectors maintain
-        factorizations that cannot switch backends mid-stream.
+        is a correctness contract. Incremental streams require the
+        exact backend on every push.
         """
         return (self._degraded
                 and record.config.method == "auto"
                 and not detector.incremental)
 
     def _replay_wal(self, record: SessionRecord,
-                    detector: SessionStream) -> None:
+                    detector: DetectionStream) -> None:
         """Re-ingest WAL entries newer than the checkpointed state
         (called during resurrection, session lock held)."""
         wal = record.wal
@@ -1307,7 +1304,7 @@ class SessionManager:
                 add_counter("store_write_retries_total")
                 time.sleep(STORE_RETRY_BACKOFF * (2 ** attempt))
 
-    def _parallel_eligible(self, detector: SessionStream,
+    def _parallel_eligible(self, detector: DetectionStream,
                            batch: list[GraphSnapshot]) -> bool:
         """Whether the parallel engine reproduces serial pushes exactly.
 
@@ -1315,6 +1312,8 @@ class SessionManager:
         scoring); transition sharding is bit-for-bit, but only when
         randomness cannot diverge: the exact backend uses none, and the
         approx backend matches only under content-keyed seeding.
+        Incremental streams stay serial: their rank-one-updated solves
+        match cold ones only to ~1e-10, not bit-for-bit.
         """
         if not isinstance(detector, StreamingCadDetector):
             return False
@@ -1558,7 +1557,7 @@ class SessionManager:
         return record
 
     def _require_resident(self, record: SessionRecord,
-                          ) -> SessionStream:
+                          ) -> DetectionStream:
         """The session's live detector, resurrecting it if evicted."""
         if record.detector is not None:
             self._ensure_owner(record)

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import CommuteTimeCalculator
+from repro.core import CommuteTimeCalculator, StreamingCadDetector
 from repro.exceptions import DetectionError
-from repro.graphs import GraphSnapshot
+from repro.graphs import (
+    DynamicGraph,
+    GraphSnapshot,
+    perturb_weights,
+    random_sparse_graph,
+)
 from repro.linalg import FactorCache, commute_time_matrix
+from repro.linalg.factorcache import DEFAULT_DELTA_BUDGET
 from repro.observability import collecting
+from repro.pipeline import detect
 
 
 class TestDispatch:
@@ -256,6 +263,52 @@ class TestFactorCache:
         keys = {key[:2] for key in cache._entries}
         assert (digest, "exact") in keys
         assert any(key[1] == "approx" for key in cache._entries)
+
+    def test_delta_budget_defaults_to_cache_presence(self):
+        assert CommuteTimeCalculator(method="exact").delta_budget == 0
+        cached = CommuteTimeCalculator(method="exact",
+                                       factor_cache=FactorCache(8))
+        assert cached.delta_budget == DEFAULT_DELTA_BUDGET
+        assert cached.spec()["delta_budget"] == DEFAULT_DELTA_BUDGET
+
+    def test_default_runs_perform_no_delta_updates(self):
+        graph = DynamicGraph([
+            perturb_weights(random_sparse_graph(30, mean_degree=4.0,
+                                                seed=2, connected=True),
+                            0.1, seed=step)
+            for step in range(5)
+        ])
+        stream = StreamingCadDetector(method="exact", warmup=1)
+        with collecting() as registry:
+            detect(graph, method="exact", anomalies_per_transition=2)
+            for snapshot in graph:
+                stream.push(snapshot)
+        assert registry.counter_value(
+            "commute_backend_delta_updates_total"
+        ) == 0
+        assert registry.counter_value(
+            "commute_backend_builds_total", {"method": "exact"}
+        ) == 10
+
+    def test_delta_tier_runs_without_a_cache(self,
+                                             random_connected_graph):
+        calculator = CommuteTimeCalculator(method="exact", delta_budget=8)
+        rows, cols = np.array([0, 2]), np.array([1, 3])
+        calculator.pairwise(random_connected_graph, rows, cols)
+        edited = random_connected_graph.adjacency.tolil()
+        j = random_connected_graph.neighbors(0)[0]
+        edited[0, j] = edited[j, 0] = float(edited[0, j]) + 1.0
+        drifted = GraphSnapshot(edited.tocsr(),
+                                random_connected_graph.universe)
+        with collecting() as registry:
+            values = calculator.pairwise(drifted, rows, cols)
+        assert registry.counter_value(
+            "commute_backend_delta_updates_total"
+        ) == 1
+        expected = CommuteTimeCalculator(method="exact").pairwise(
+            drifted, rows, cols
+        )
+        np.testing.assert_allclose(values, expected, atol=1e-8)
 
     def test_rejects_negative_delta_budget(self):
         with pytest.raises(DetectionError, match="delta_budget"):

@@ -26,7 +26,7 @@ from repro.detectors import (
     streaming_method_names,
 )
 from repro.detectors.registry import DetectorMethod, register_method
-from repro.exceptions import DetectionError
+from repro.exceptions import CheckpointError, DetectionError
 from repro.graphs import (
     DynamicGraph,
     GraphSnapshot,
@@ -192,6 +192,22 @@ class TestStreamingConformance:
         assert streamed.threshold == batch.threshold
         assert [t.anomalous_nodes for t in streamed.transitions] == \
             [t.anomalous_nodes for t in batch.transitions]
+
+    def test_cad_restore_names_kind_mismatch(self, sequence):
+        stream = StreamingDetector("lad", warmup=2)
+        for snapshot in list(sequence)[:3]:
+            stream.push(snapshot)
+        with pytest.raises(CheckpointError, match="kind mismatch.*"
+                           "'detector-stream'.*StreamingCadDetector"):
+            StreamingCadDetector.restore(stream.checkpoint())
+
+    def test_wrapper_restore_names_kind_mismatch(self, sequence):
+        stream = StreamingCadDetector(warmup=2, method="exact")
+        for snapshot in list(sequence)[:3]:
+            stream.push(snapshot)
+        with pytest.raises(CheckpointError, match="kind mismatch.*CAD"
+                           ".*StreamingDetector"):
+            StreamingDetector.restore(stream.checkpoint())
 
     def test_cad_method_rejected_by_wrapper(self):
         with pytest.raises(DetectionError):

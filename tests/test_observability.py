@@ -79,6 +79,28 @@ class TestMetricsRegistry:
         registry.record_span("solve", wall=0.1, cpu=0.1)
         assert registry.state()["spans"]["solve"]["errors"] == 1
 
+    def test_recent_spans_keep_the_newest(self):
+        registry = MetricsRegistry()
+        for index in range(266):
+            registry.record_span(f"s{index}", wall=0.0, cpu=0.0)
+        recent = registry.state()["recent_spans"]
+        assert len(recent) == 256
+        assert recent[0]["name"] == "s10"
+        assert recent[-1]["name"] == "s265"
+
+    def test_merged_recent_spans_keep_the_newest(self):
+        worker = MetricsRegistry()
+        for index in range(200):
+            worker.record_span(f"w{index}", wall=0.0, cpu=0.0)
+        parent = MetricsRegistry()
+        for index in range(100):
+            parent.record_span(f"p{index}", wall=0.0, cpu=0.0)
+        parent.merge_state(worker.state())
+        recent = [span["name"] for span in parent.state()["recent_spans"]]
+        assert len(recent) == 256
+        assert recent[0] == "p44"
+        assert recent[-1] == "w199"
+
 
 class TestTracing:
     def test_disabled_is_noop(self):

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from repro.core.streaming import StreamingCadDetector
 from repro.exceptions import DetectionError
 from repro.graphs.snapshot import GraphSnapshot, NodeUniverse
+from repro.observability import collecting
 
 
 def random_stream(n=16, steps=10, seed=5, edits=3):
@@ -30,6 +31,12 @@ def random_stream(n=16, steps=10, seed=5, edits=3):
             GraphSnapshot(sp.csr_matrix(w + w.T), universe, time=t)
         )
     return snapshots
+
+
+def exact_builds(registry):
+    """Full pseudoinverse computations recorded in ``registry``."""
+    return registry.counter_value("commute_backend_builds_total",
+                                  {"method": "exact"})
 
 
 def result_sets(result):
@@ -67,10 +74,11 @@ class TestIncrementalParity:
     def test_only_initial_build_recomputes_on_smooth_stream(self):
         snapshots = random_stream(seed=9)
         detector = StreamingCadDetector(method="exact", incremental=True)
-        assert detector.incremental_recomputes == 0
-        for snapshot in snapshots:
-            detector.push(snapshot)
-        assert detector.incremental_recomputes == 1
+        with collecting() as registry:
+            assert exact_builds(registry) == 0
+            for snapshot in snapshots:
+                detector.push(snapshot)
+        assert exact_builds(registry) == 1
 
 
 class TestComponentChanges:
@@ -93,12 +101,15 @@ class TestComponentChanges:
                                            warmup=1, method="exact",
                                            incremental=True)
         streams = [connected, split, connected]
+        builds = 0
         for snapshot in streams:
             expected = plain.push(snapshot)
-            actual = incremental.push(snapshot)
+            with collecting() as registry:
+                actual = incremental.push(snapshot)
+            builds += exact_builds(registry)
             assert result_sets(actual) == result_sets(expected)
         # initial build + split fallback (+ possibly the merge back)
-        assert incremental.incremental_recomputes >= 2
+        assert builds >= 2
 
 
 class TestCheckpointRoundTrip:
@@ -150,15 +161,34 @@ class TestGuards:
         with pytest.raises(DetectionError, match="previous snapshot"):
             detector.ingest_scored(snapshots[1], scorer._scored[0])
 
-    def test_ingest_scored_blocked_under_incremental(self):
-        snapshots = random_stream(steps=2)
-        scorer = StreamingCadDetector(method="exact")
-        scorer.push(snapshots[0])
-        scorer.push(snapshots[1])
-        detector = StreamingCadDetector(method="exact", incremental=True)
-        detector.push(snapshots[0])
-        with pytest.raises(DetectionError, match="incremental"):
-            detector.ingest_scored(snapshots[1], scorer._scored[0])
+    def test_ingest_scored_under_incremental_matches_push(self):
+        # The delta tier diffs against the last solved adjacency, so an
+        # externally scored transition leaves nothing stale.
+        snapshots = random_stream(seed=19)
+        scorer = StreamingCadDetector(anomalies_per_transition=2,
+                                      warmup=2, method="exact")
+        pusher = StreamingCadDetector(anomalies_per_transition=2,
+                                      warmup=2, method="exact")
+        detector = StreamingCadDetector(anomalies_per_transition=2,
+                                        warmup=2, method="exact",
+                                        incremental=True)
+        for snapshot in snapshots:
+            scorer.push(snapshot)
+        for position, snapshot in enumerate(snapshots):
+            expected = pusher.push(snapshot)
+            if position in (3, 4):
+                actual = detector.ingest_scored(
+                    snapshot, scorer._scored[position - 1]
+                )
+            else:
+                actual = detector.push(snapshot)
+            assert result_sets(actual) == result_sets(expected)
+            if expected is not None:
+                np.testing.assert_allclose(
+                    actual.scores.edge_scores,
+                    expected.scores.edge_scores,
+                    rtol=1e-8, atol=1e-10,
+                )
 
     def test_ingest_scored_matches_push(self):
         snapshots = random_stream(seed=17)
