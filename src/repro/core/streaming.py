@@ -306,18 +306,17 @@ class DetectionStream:
         with :func:`~repro.resilience.checkpoint.write_checkpoint`
         (done automatically when ``path`` is given).
 
+        An empty stream checkpoints too: its state holds no snapshots
+        and restores to a fresh stream with the same config.
+
         Args:
             path: optional file to also write the checkpoint to.
 
         Raises:
-            CheckpointError: when the stream is empty, or (when writing
-                to ``path``) when labels/times are not JSON-friendly.
+            CheckpointError: when writing to ``path`` and labels/times
+                are not JSON-friendly.
         """
-        if not self._snapshots:
-            raise CheckpointError(
-                "nothing to checkpoint: no snapshot has been pushed"
-            )
-        universe = self._snapshots[0].universe
+        universe = self._snapshots[0].universe if self._snapshots else ()
         state: dict[str, Any] = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
@@ -393,7 +392,8 @@ class DetectionStream:
                 **cls._config_kwargs(config),
                 **overrides,
             })
-            universe = NodeUniverse(state["universe"])
+            universe = (NodeUniverse(state["universe"])
+                        if state["snapshots"] else None)
             n = int(state["num_nodes"])
             for entry in state["snapshots"]:
                 matrix = sp.csr_matrix(

@@ -7,6 +7,11 @@ and numpy arrays, no library objects — and this module round-trips that
 dictionary through a single compressed ``.npz`` file (arrays stored
 natively, everything else in one JSON header).
 
+A state may also carry an optional ``session`` entry: plain JSON data
+its owner stores alongside the stream (the detection service keeps
+its session config and push watermark there). It travels verbatim in
+the header and stream restore ignores it.
+
 Node labels and time labels must survive a JSON round-trip (strings,
 ints, floats, booleans, ``None``); checkpointing a stream with richer
 labels raises :class:`~repro.exceptions.CheckpointError` rather than
@@ -162,6 +167,10 @@ def write_checkpoint(state: dict[str, Any], path: str | Path) -> None:
         "rng_state": state["rng_state"],
         "detector_state": sorted(detector_state),
     }
+    # Optional owner bookkeeping (the service's session block): plain
+    # data carried verbatim, ignored by stream restore.
+    if "session" in state:
+        meta["session"] = state["session"]
     write_npz_document(path, meta, arrays, "checkpoint")
 
 
@@ -195,7 +204,7 @@ def read_checkpoint(path: str | Path) -> dict[str, Any]:
                 for extra_name in entry["extras"]
             }
             scored.append(scores)
-        return {
+        state = {
             "format": FORMAT,
             "version": VERSION,
             "config": meta["config"],
@@ -211,5 +220,8 @@ def read_checkpoint(path: str | Path) -> dict[str, Any]:
                 for name in meta.get("detector_state", [])
             },
         }
+        if "session" in meta:
+            state["session"] = meta["session"]
+        return state
 
     return read_npz_document(path, FORMAT, load, "checkpoint")

@@ -43,7 +43,8 @@ class SessionConfig:
 
     Mirrors :class:`~repro.core.streaming.StreamingCadDetector`'s
     constructor. ``seed`` is restricted to an integer (or ``None``) so
-    the configuration survives the eviction checkpoint's JSON sidecar.
+    the configuration survives the JSON header of the session's npz
+    checkpoint.
     """
 
     anomalies_per_transition: int = 5
@@ -98,11 +99,12 @@ class SessionConfig:
         }
 
     def to_document(self) -> dict[str, Any]:
-        """JSON-ready form (the eviction sidecar format).
+        """JSON-ready form (the ``config`` of the checkpoint's session
+        block and of the WAL header).
 
         ``detector_options``, ``factor_cache`` and ``cache_budget_mb``
-        are omitted when unset so sidecars stay byte-compatible with
-        ones written before those options existed.
+        are omitted when unset so stored documents stay byte-compatible
+        with ones written before those options existed.
         """
         document = {key: getattr(self, key) for key in CONFIG_KEYS}
         if document["detector_options"] is None:

@@ -11,8 +11,8 @@ A :class:`SessionManager` owns many concurrent
   ``Retry-After``) instead of queueing unboundedly;
 * **LRU eviction** — at most ``max_sessions`` detectors stay resident;
   the least-recently-used idle session is checkpointed to the store
-  (the streaming npz checkpoint plus a JSON sidecar with its
-  configuration) and transparently resurrected on its next request;
+  (one npz whose header also carries the session's config and push
+  watermark) and transparently resurrected on its next request;
 * **drain** — :meth:`drain` checkpoints every resident session and
   releases its leases so a SIGTERM leaves nothing but resumable,
   immediately adoptable state behind;
@@ -48,8 +48,6 @@ anything else falls back to serial pushes.
 from __future__ import annotations
 
 import dataclasses
-import io
-import json
 import os
 import socket
 import tempfile
@@ -60,8 +58,6 @@ from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from ..core.streaming import DetectionStream, StreamingCadDetector
 from ..detectors.streaming import StreamingDetector
@@ -86,7 +82,6 @@ from ..pipeline.serialize import (
     report_to_dict,
     snapshot_from_payload,
 )
-from ..resilience.checkpoint import FORMAT as CHECKPOINT_FORMAT
 from ..store import (
     FencedWriteError,
     Lease,
@@ -115,7 +110,16 @@ from .protocol import (
     push_response,
     snapshot_documents,
 )
-from .wal import SessionWal
+from .wal import (
+    SessionHeader,
+    SessionWal,
+    WalContents,
+    encode_checkpoint,
+    load_checkpoint,
+    read_session_header,
+    session_id_of,
+    session_keys,
+)
 
 _logger = get_logger("service.sessions")
 
@@ -127,9 +131,10 @@ def default_replica_id() -> str:
 
 
 def build_stream(config: SessionConfig,
-                 checkpoint: str | Path | None = None) -> DetectionStream:
+                 checkpoint: dict[str, Any] | str | Path | None = None,
+                 ) -> DetectionStream:
     """Construct the stream a session's config asks for, or restore it
-    from an npz ``checkpoint``.
+    from a ``checkpoint`` (state dict or npz path).
 
     CAD methods (``exact``/``approx``/``auto``/``cad``) get the
     commute-time stream; every other (registry) method runs behind the
@@ -142,10 +147,6 @@ def build_stream(config: SessionConfig,
     if checkpoint is None:
         return stream_class(**kwargs)
     return stream_class.restore(checkpoint, **kwargs)
-
-#: Sidecar format marker written next to eviction checkpoints.
-SIDECAR_FORMAT = "repro-service-session"
-SIDECAR_VERSION = 1
 
 #: Utilization at/below which pressure is considered relieved (the
 #: degraded-mode hysteresis floor; the ceiling is configurable).
@@ -216,8 +217,8 @@ class SessionManager:
             :class:`~repro.store.LocalDirStore`, byte-compatible with
             the pre-store layout); also scanned at startup so sessions
             survive a restart.
-        store: durable backend for checkpoints, sidecars, WALs, and
-            lease records — a :class:`~repro.store.SessionStore` or a
+        store: durable backend for checkpoints, WALs, and lease
+            records — a :class:`~repro.store.SessionStore` or a
             ``local:<dir>`` / ``shared:<dir>`` spec string. Mutually
             exclusive with ``checkpoint_dir``.
         replica_id: this replica's stable identity for lease records,
@@ -466,8 +467,9 @@ class SessionManager:
     def _apply_cache_defaults(self, config: SessionConfig) -> SessionConfig:
         """Fold the manager's factor-cache defaults into a new session.
 
-        Applied at creation (so the sidecar persists the *effective*
-        setting and resurrection reproduces it), never on restore.
+        Applied at creation (so the session block persists the
+        *effective* setting and resurrection reproduces it), never on
+        restore.
         Sessions that opt in themselves only inherit the byte budget.
         """
         if not config.uses_cad:
@@ -563,11 +565,22 @@ class SessionManager:
         """Finalize a session: emit its report and seal it.
 
         The session stays readable (``GET .../report``) but rejects
-        further snapshots.
+        further snapshots. With the WAL on, the seal is logged (fsynced)
+        before it is acknowledged, so a hard kill cannot unseal it.
         """
         document = self.report(session_id, include_scores=include_scores)
         record = self._get(session_id)
         with record.lock:
+            if not record.finalized and record.wal is not None:
+                try:
+                    self._with_store_retries(
+                        lambda: record.wal.append_finalize(
+                            token=self._token_for(record),
+                            guard=self._guard_for(record),
+                        )
+                    )
+                except FencedWriteError as error:
+                    raise self._fenced(record, error) from error
             record.finalized = True
         document["finalized"] = True
         add_counter("service_sessions_finalized_total")
@@ -582,10 +595,8 @@ class SessionManager:
             raise NotFoundError(f"no session {session_id!r}")
         with record.lock:
             record.detector = None
-            npz_key, sidecar_key = self._session_keys(session_id)
-            self._store.delete(npz_key)
-            self._store.delete(sidecar_key)
-            self._make_wal(session_id).delete()
+            for key in session_keys(session_id):
+                self._store.delete(key)
             if self._leases is not None:
                 self._leases.forget(session_id)
                 record.lease = None
@@ -613,8 +624,8 @@ class SessionManager:
 
     def drain(self) -> int:
         """Checkpoint every resident session to the store; return how
-        many. Held leases are released afterwards so another replica
-        adopts the sessions without waiting out the TTL.
+        many held stream state. Held leases are released afterwards so
+        another replica adopts the sessions without waiting out the TTL.
 
         Called after the HTTP server stopped accepting connections and
         joined its in-flight handlers, so session locks are only held
@@ -633,7 +644,8 @@ class SessionManager:
                         self._release_lease(record)
                         continue
                     try:
-                        if self._checkpoint_record(record):
+                        self._checkpoint_record(record)
+                        if record.detector.latest_snapshot is not None:
                             drained += 1
                     except FencedWriteError as error:
                         _logger.warning(
@@ -714,45 +726,29 @@ class SessionManager:
         _logger.info("session %s evicted to the store",
                      record.session_id)
 
-    def _checkpoint_record(self, record: SessionRecord) -> bool:
-        """Write npz + sidecar for one session (lock held)."""
-        npz_key, sidecar_key = self._session_keys(record.session_id)
-        detector = record.detector
-        empty = detector is None or detector.latest_snapshot is None
+    def _checkpoint_record(self, record: SessionRecord) -> None:
+        """Write one session's npz, then compact its WAL (lock held).
+
+        The npz (stream state plus session block) is one atomic put, so
+        the state and its replay watermark land together; a compaction
+        that fails afterwards leaves only WAL entries replay skips.
+        """
+        npz_key, _, sidecar_key = session_keys(record.session_id)
         token = self._token_for(record)
-        if not empty:
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-ckpt-") as temp:
-                local = Path(temp) / "checkpoint.npz"
-                detector.checkpoint(local)
-                data = local.read_bytes()
-            self._with_store_retries(
-                lambda: self._store.put(npz_key, data,
-                                        guard=self._guard_for(record),
-                                        token=token)
-            )
-        sidecar_document = {
-            "format": SIDECAR_FORMAT,
-            "version": SIDECAR_VERSION,
-            "session": record.session_id,
-            "config": record.config.to_document(),
-            "finalized": record.finalized,
-            "pushes": record.pushes,
-            "empty": empty,
-            "replica": self._replica_id,
-        }
-        if token is not None:
-            sidecar_document["token"] = int(token)
-        sidecar_bytes = json.dumps(sidecar_document, indent=1).encode()
+        data = encode_checkpoint(
+            record.detector.checkpoint(),
+            SessionHeader(record.config.to_document(), record.pushes,
+                          record.finalized),
+        )
         self._with_store_retries(
-            lambda: self._store.put(sidecar_key, sidecar_bytes,
+            lambda: self._store.put(npz_key, data,
                                     guard=self._guard_for(record),
                                     token=token)
         )
         record.has_checkpoint = True
+        # A legacy sidecar is superseded by the session block now.
+        self._store.delete(sidecar_key)
         if record.wal is not None:
-            # The checkpoint now holds everything through this push
-            # count; shrink the WAL to its watermark.
             self._with_store_retries(
                 lambda: record.wal.compact(
                     record.session_id, record.config.to_document(),
@@ -761,21 +757,21 @@ class SessionManager:
                 )
             )
             record.wal_pending = 0
-        return not empty
 
     def _resurrect(self, record: SessionRecord) -> DetectionStream:
         """Rebuild an evicted session's detector from the store
-        (lock held)."""
+        (lock held): restore its npz if one was written, else start
+        fresh, then replay the WAL past the restored watermark."""
         self._ensure_owner(record)
-        self._refresh_from_sidecar(record)
-        npz_key, _ = self._session_keys(record.session_id)
         with trace("service.resurrect", session=record.session_id):
-            if self._store.exists(npz_key):
-                with self._store.local_copy(npz_key,
-                                            suffix=".npz") as local:
-                    detector = build_stream(record.config, local)
-            else:  # evicted before its first snapshot
-                detector = build_stream(record.config)
+            state = load_checkpoint(self._store, record.session_id)
+            detector = build_stream(record.config, state)
+        if state is not None and "session" in state:
+            # The watermark of the state actually restored: under
+            # leases another replica may have advanced the session.
+            header = SessionHeader.from_block(state["session"])
+            record.pushes = header.pushes
+            record.finalized = record.finalized or header.finalized
         record.detector = detector
         if record.universe is None and \
                 detector.latest_snapshot is not None:
@@ -788,59 +784,26 @@ class SessionManager:
                      record.session_id, self._store.describe())
         return detector
 
-    def _refresh_from_sidecar(self, record: SessionRecord) -> None:
-        """Sync a non-resident record with its stored sidecar.
-
-        Under leases another replica may have advanced the session
-        since we last saw it; the sidecar's push counter and finalized
-        flag are authoritative for WAL replay. Single-writer mode
-        skips this (the in-memory record is already exact), as does a
-        session recovering from a quarantined checkpoint, whose reset
-        push counter deliberately disagrees with the sidecar so the
-        WAL replays the full history.
-        """
-        if self._leases is None or not record.has_checkpoint:
-            return
-        _, sidecar_key = self._session_keys(record.session_id)
-        try:
-            document = json.loads(self._store.get(sidecar_key))
-        except (StoreError, ValueError):
-            return
-        if not isinstance(document, dict) or \
-                document.get("format") != SIDECAR_FORMAT:
-            return
-        record.pushes = int(document.get("pushes", record.pushes))
-        record.finalized = bool(
-            document.get("finalized", record.finalized)
-        )
-        record.has_checkpoint = True
-
     # -- startup adoption ----------------------------------------------------
 
     def _load_existing(self) -> None:
         """Adopt sessions a previous (or sibling) process left in the
         store.
 
-        Corrupt artifacts (truncated npz, unparseable sidecar, torn
-        WAL header) are moved under the store's ``quarantine/`` prefix
-        with a logged reason instead of crashing startup; a WAL that
-        still holds a session's full history can stand in for its
+        Corrupt artifacts (truncated npz, unreadable session block,
+        torn WAL header) are moved under the store's ``quarantine/``
+        prefix with a logged reason instead of crashing startup; a WAL
+        that still holds a session's full history can stand in for its
         damaged checkpoint. Under leases, sessions owned by a live
         replica are skipped here and adopted on demand once their
         lease lapses.
         """
-        candidates: set[str] = set()
         try:
             keys = self._store.list()
         except StoreError as error:
             _logger.error("cannot list the session store: %s", error)
             return
-        for key in keys:
-            if "/" in key:
-                continue  # leases/, quarantine/, foreign prefixes
-            stem, _, suffix = key.rpartition(".")
-            if suffix in ("json", "wal") and stem:
-                candidates.add(stem)
+        candidates = {session_id_of(key) for key in keys} - {None}
         for session_id in sorted(candidates):
             with self._table_lock:
                 if session_id in self._sessions:
@@ -868,96 +831,48 @@ class SessionManager:
                            session_id: str) -> SessionRecord | None:
         """Build a lazy (non-resident) record from stored artifacts,
         quarantining anything unusable. ``None`` when the session has
-        no adoptable state."""
-        npz_key, sidecar_key = self._session_keys(session_id)
-        wal_key = self._wal_key(session_id)
-        if self._store.exists(sidecar_key):
-            record = self._record_from_sidecar(
-                session_id, npz_key, sidecar_key, wal_key
-            )
-            if record is not None:
-                return record
-            # fall through: the WAL may still rescue the session
-        if self._wal and self._store.exists(wal_key):
-            return self._record_from_orphan_wal(session_id, wal_key)
-        return None
+        no adoptable state.
 
-    def _record_from_sidecar(self, session_id: str, npz_key: str,
-                             sidecar_key: str,
-                             wal_key: str) -> SessionRecord | None:
+        One adoption rule: the session's config, push watermark and
+        finalized flag come from the npz header if present, else from
+        the WAL header — which can rebuild the session only while the
+        log still holds its full history (never compacted).
+        """
+        npz_key, wal_key, sidecar_key = session_keys(session_id)
+        wal = self._make_wal(session_id) if self._wal else None
+        log = wal.read() if wal is not None else WalContents()
         try:
-            document = json.loads(self._store.get(sidecar_key))
-            if not isinstance(document, dict):
-                raise ValueError("sidecar is not a JSON object")
-        except (StoreError, ValueError) as error:
-            self._quarantine(f"unreadable sidecar: {error}",
-                             sidecar_key, npz_key)
-            return None
-        if document.get("format") != SIDECAR_FORMAT:
-            return None  # foreign file; leave it alone
-        try:
-            config = parse_session_config(document.get("config"))
-        except Exception as error:
-            self._quarantine(f"bad config in sidecar: {error}",
-                             sidecar_key, npz_key)
-            return None
-        pushes = int(document.get("pushes", 0))
-        has_checkpoint = True
-        if self._store.exists(npz_key) and \
-                not self._validate_session_npz(npz_key):
-            if self._wal_covers_history(session_id):
-                # The WAL still holds every push; rebuild from a
-                # fresh detector by replaying it all.
-                self._quarantine("corrupt checkpoint npz "
-                                 "(WAL replays full history)", npz_key)
-                pushes = 0
-                has_checkpoint = False
-            else:
+            header = read_session_header(self._store, session_id)
+        except (CheckpointError, StoreError) as error:
+            self._quarantine(f"unreadable checkpoint: {error}",
+                             npz_key, sidecar_key)
+            header = None
+        has_checkpoint = header is not None
+        if header is None:
+            if wal is None or not wal.exists():
+                return None  # nothing of ours (or a foreign file)
+            if not log.valid or log.compacted_through > 0:
                 self._quarantine(
-                    "corrupt checkpoint npz and no WAL with full "
-                    "history to rebuild it", npz_key, sidecar_key,
+                    "WAL cannot rebuild the session: "
+                    + ("no valid header" if not log.valid else
+                       "its watermark references a missing checkpoint"),
                     wal_key,
                 )
                 return None
+            header = SessionHeader(log.config)
+        try:
+            config = parse_session_config(header.config)
+        except ServiceError as error:
+            self._quarantine(f"bad session config: {error}",
+                             npz_key, sidecar_key, wal_key)
+            return None
         record = SessionRecord(session_id, config)
         record.detector = None  # resurrect lazily on first touch
-        record.finalized = bool(document.get("finalized", False))
-        record.pushes = pushes
+        record.pushes = header.pushes
+        record.finalized = header.finalized or log.finalized
         record.has_checkpoint = has_checkpoint
-        if self._wal:
-            record.wal = self._make_wal(session_id)
-            if record.wal.exists():
-                record.wal_pending = len(record.wal.read().entries)
-        return record
-
-    def _record_from_orphan_wal(self, session_id: str,
-                                wal_key: str) -> SessionRecord | None:
-        """Adopt a session whose only surviving artifact is its WAL
-        (killed before the first checkpoint was ever written)."""
-        wal = self._make_wal(session_id)
-        contents = wal.read()
-        if not contents.valid:
-            self._quarantine("WAL has no valid header", wal_key)
-            return None
-        if contents.compacted_through > 0:
-            self._quarantine(
-                "WAL watermark references a checkpoint that is "
-                "missing", wal_key,
-            )
-            return None
-        try:
-            config = parse_session_config(contents.config)
-        except Exception as error:
-            self._quarantine(f"bad config in WAL: {error}", wal_key)
-            return None
-        record = SessionRecord(contents.session_id or session_id,
-                               config)
-        record.detector = None
-        record.has_checkpoint = False
         record.wal = wal
-        record.wal_pending = len(contents.entries)
-        _logger.info("adopted session %s from orphan WAL",
-                     record.session_id)
+        record.wal_pending = len(log.entries)
         return record
 
     def _adopt(self, record: SessionRecord) -> None:
@@ -965,30 +880,6 @@ class SessionManager:
             record.last_active = self._tick()
             self._sessions[record.session_id] = record
             self._update_gauges()
-
-    def _wal_covers_history(self, session_id: str) -> bool:
-        """Whether a WAL exists and holds the session's full history
-        (never compacted), so replay alone can rebuild the detector."""
-        if not self._wal:
-            return False
-        wal = self._make_wal(session_id)
-        if not wal.exists():
-            return False
-        contents = wal.read()
-        return contents.valid and contents.compacted_through == 0
-
-    def _validate_session_npz(self, npz_key: str) -> bool:
-        """Whether an npz checkpoint is structurally loadable."""
-        try:
-            data = self._store.get(npz_key)
-            with np.load(io.BytesIO(data),
-                         allow_pickle=False) as archive:
-                if "meta_json" not in archive:
-                    return False
-                meta = json.loads(str(archive["meta_json"]))
-            return meta.get("format") == CHECKPOINT_FORMAT
-        except Exception:
-            return False
 
     def _quarantine(self, reason: str, *keys: str) -> None:
         """Move corrupt artifacts aside instead of crashing startup."""
@@ -1229,12 +1120,13 @@ class SessionManager:
 
     def _replay_wal(self, record: SessionRecord,
                     detector: DetectionStream) -> None:
-        """Re-ingest WAL entries newer than the checkpointed state
-        (called during resurrection, session lock held)."""
-        wal = record.wal
-        if wal is None or not wal.exists():
+        """Re-ingest WAL entries newer than the checkpointed state and
+        honour a logged seal (called during resurrection, session lock
+        held)."""
+        if record.wal is None:
             return
-        contents = wal.read()
+        contents = record.wal.read()
+        record.finalized = record.finalized or contents.finalized
         replayed = 0
         with trace("service.wal_replay", session=record.session_id):
             for seq, payload, degraded in contents.entries:
@@ -1262,15 +1154,6 @@ class SessionManager:
         wal = record.wal
         if wal is None:
             return
-        if not wal.exists():
-            # Sessions adopted from a sidecar written by a pre-WAL
-            # process get their log lazily on the first push.
-            self._with_store_retries(
-                lambda: wal.append_create(
-                    record.session_id, record.config.to_document(),
-                    guard=self._guard_for(record),
-                )
-            )
         self._with_store_retries(
             lambda: wal.append_snapshots(
                 documents, start_seq=record.pushes, degraded=degraded,
@@ -1523,11 +1406,9 @@ class SessionManager:
         """
         if not session_id or "/" in session_id:
             return None
-        _, sidecar_key = self._session_keys(session_id)
-        wal_key = self._wal_key(session_id)
         try:
-            present = self._store.exists(sidecar_key) or \
-                self._store.exists(wal_key)
+            present = any(self._store.exists(key)
+                          for key in session_keys(session_id))
         except StoreError:
             return None
         if not present:
@@ -1581,15 +1462,8 @@ class SessionManager:
         self._clock += 1
         return self._clock
 
-    def _session_keys(self, session_id: str) -> tuple[str, str]:
-        return f"{session_id}.npz", f"{session_id}.json"
-
-    def _wal_key(self, session_id: str) -> str:
-        return f"{session_id}.wal"
-
     def _make_wal(self, session_id: str) -> SessionWal:
-        return SessionWal(store=self._store,
-                          key=self._wal_key(session_id))
+        return SessionWal(self._store, session_keys(session_id)[1])
 
     def _update_gauges(self) -> None:
         """Refresh session gauges (table lock held)."""

@@ -1,8 +1,8 @@
 """The durable-store contract behind the session tier.
 
 A :class:`SessionStore` holds everything a detection session leaves on
-disk — streaming checkpoints (npz), JSON sidecars, write-ahead logs,
-and lease records — behind a small key/value interface so the service
+disk — streaming checkpoints (npz), write-ahead logs, and lease
+records — behind a small key/value interface so the service
 can run against a local directory today and a shared (object-store
 style) prefix tomorrow without the session layer changing:
 

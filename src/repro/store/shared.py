@@ -4,7 +4,7 @@ Several service replicas mount one prefix (NFS, a fuse-mounted bucket,
 a shared volume) and coordinate through it. The layout is designed so
 no crash, at any instant, can surface a torn object to a reader:
 
-* **blob objects** (checkpoints, sidecars, lease records) are written
+* **blob objects** (checkpoints, lease records) are written
   as immutable *generation* files — ``objects/<key>.g<N>`` — and a
   small JSON **manifest** (``manifest/<key>``) naming the live
   generation with its size and BLAKE2b checksum. A put writes the new

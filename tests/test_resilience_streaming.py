@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingCadDetector
+from repro.detectors import StreamingDetector
 from repro.exceptions import (
     CheckpointError,
     NodeUniverseMismatchError,
@@ -196,10 +197,30 @@ class TestCheckpointRestore:
         assert len(restored.health.quarantined) == 1
         assert restored.health.quarantined[0].position == 1
 
-    def test_empty_stream_cannot_checkpoint(self):
-        detector = StreamingCadDetector(method="exact")
-        with pytest.raises(CheckpointError, match="nothing"):
-            detector.checkpoint()
+    @pytest.mark.parametrize("kind", ["cad", "registry"])
+    def test_empty_stream_checkpoint_round_trips(self, kind, tmp_path,
+                                                 stream_snapshots):
+        def fresh():
+            if kind == "cad":
+                return StreamingCadDetector(anomalies_per_transition=3,
+                                            warmup=2, method="exact")
+            return StreamingDetector("lad", anomalies_per_transition=3,
+                                     warmup=2)
+
+        path = tmp_path / "empty.npz"
+        state = fresh().checkpoint(path)
+        assert state["snapshots"] == [] and state["scored"] == []
+        restored = type(fresh()).restore(path, method=(
+            "exact" if kind == "cad" else "lad"
+        ))
+        assert restored.latest_snapshot is None
+        assert restored.num_transitions == 0
+        reference = fresh()
+        for snapshot in stream_snapshots:
+            restored.push(snapshot)
+            reference.push(snapshot)
+        assert report_to_dict(restored.finalize()) == \
+            report_to_dict(reference.finalize())
 
     def test_rng_state_round_trips(self, stream_snapshots):
         detector = StreamingCadDetector(anomalies_per_transition=3,

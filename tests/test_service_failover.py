@@ -9,18 +9,24 @@ identical to an undisturbed run, while A's late writes are fenced.
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 import pytest
 
 from repro.observability import MetricsRegistry, disable, enable
-from repro.resilience import ChaosStore, truncate_tail, write_checkpoint
+from repro.resilience import (
+    ChaosStore,
+    read_checkpoint,
+    truncate_tail,
+    write_checkpoint,
+)
 from repro.resilience.checkpoint import FORMAT as CHECKPOINT_FORMAT
 from repro.resilience.checkpoint import VERSION as CHECKPOINT_VERSION
-from repro.service import NotOwnerError, SessionManager
+from repro.service import NotOwnerError, SessionManager, SessionStateError
 from repro.service.wal import SessionWal
-from repro.store import SharedStore, StoreUnavailableError
+from repro.store import LocalDirStore, SharedStore, StoreUnavailableError
 
 from .test_service_sessions import entries, random_payloads
 
@@ -106,6 +112,45 @@ class TestFailover:
         assert [info["session"]
                 for info in document["sessions"]] == [sid]
         assert document["replica"] == "replica-b"
+
+    def test_stale_record_takes_watermark_from_restored_npz(
+            self, tmp_path, payloads):
+        """A replica's evicted record goes stale while a peer advances
+        the session; resurrecting it must resume from the npz it
+        restores, not from its own outdated push count."""
+        expected = baseline(tmp_path, payloads)
+        a = replica(tmp_path, "replica-a", max_sessions=1)
+        b = replica(tmp_path, "replica-b", max_sessions=1)
+        sid = a.create_session(CONFIG)["session"]
+        for payload in payloads[:3]:
+            a.push(sid, payload)
+        a.create_session({})  # evicts sid: npz at 3, lease released
+        for payload in payloads[3:5]:
+            b.push(sid, payload)
+        b.create_session({})  # evicts sid: npz at 5
+        for payload in payloads[5:]:
+            a.push(sid, payload)  # a's record still says 3
+        assert a.session_info(sid)["pushes"] == len(payloads)
+        assert entries(a.report(sid)) == expected
+        a.abandon()
+        time.sleep(TTL + 0.2)
+        c = replica(tmp_path, "replica-c")
+        assert entries(c.report(sid)) == expected
+
+    def test_finalize_survives_crash_failover(self, tmp_path,
+                                              payloads):
+        a = replica(tmp_path, "replica-a")
+        sid = a.create_session(CONFIG)["session"]
+        for payload in payloads[:5]:
+            a.push(sid, payload)
+        sealed = entries(a.finalize(sid))
+        a.abandon()
+        time.sleep(TTL + 0.2)
+        b = replica(tmp_path, "replica-b")
+        assert entries(b.report(sid)) == sealed
+        assert b.session_info(sid)["finalized"]
+        with pytest.raises(SessionStateError):
+            b.push(sid, payloads[5])
 
 
 class TestOwnership:
@@ -241,7 +286,7 @@ class TestStoreFaults:
 
 class TestAtomicSidecars:
     """Satellite of the store tier: checkpoint artifacts are written
-    atomically, and a torn sidecar is survivable."""
+    atomically, and a torn legacy sidecar is survivable."""
 
     def test_interrupted_checkpoint_keeps_previous_archive(
             self, tmp_path, monkeypatch):
@@ -272,14 +317,25 @@ class TestAtomicSidecars:
         sid = manager.create_session(CONFIG)["session"]
         for payload in payloads[:5]:
             manager.push(sid, payload)
+        config = manager.session_info(sid)["config"]
         manager.drain()
         expected = entries(
             SessionManager(checkpoint_dir=root).report(sid)
         )
-        # Tear the sidecar mid-file (what a non-atomic writer would
+        # Rewrite the store in the layout of an earlier release (an npz
+        # without the session block, which lived in a JSON sidecar),
+        # tear the sidecar mid-file (what a non-atomic writer would
         # leave after a crash) and hand the WAL the full history.
+        state = read_checkpoint(root / f"{sid}.npz")
+        del state["session"]
+        write_checkpoint(state, root / f"{sid}.npz")
+        (root / f"{sid}.json").write_text(json.dumps({
+            "format": "repro-service-session", "version": 1,
+            "session": sid, "config": config, "finalized": False,
+            "pushes": 5, "empty": False,
+        }))
         truncate_tail(root / f"{sid}.json", 32)
-        wal = SessionWal(root / f"{sid}.wal")
+        wal = SessionWal(store=LocalDirStore(root), key=f"{sid}.wal")
         wal.delete()
         wal.append_create(sid, CONFIG)
         wal.append_snapshots(payloads[:5], start_seq=0)

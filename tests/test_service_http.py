@@ -307,7 +307,7 @@ class TestGracefulShutdown:
                 process.wait(timeout=10)
         assert process.returncode == 0
         assert (checkpoints / f"{sid}.npz").exists()
-        assert (checkpoints / f"{sid}.json").exists()
+        assert not (checkpoints / f"{sid}.json").exists()
 
         revived = SessionManager(checkpoint_dir=checkpoints)
         assert entries(revived.report(sid)) == expected

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from repro.core.streaming import StreamingCadDetector
 from repro.graphs.snapshot import GraphSnapshot, NodeUniverse
 from repro.pipeline.serialize import snapshot_to_payload
+from repro.resilience import read_checkpoint
 from repro.service import (
     CapacityError,
     NotFoundError,
@@ -254,9 +255,13 @@ class TestDrain:
         for payload in payloads:
             manager.push(sid, payload)
         before = entries(manager.report(sid))
+        config = manager.session_info(sid)["config"]
         assert manager.drain() == 1
-        assert (tmp_path / f"{sid}.npz").exists()
-        assert (tmp_path / f"{sid}.json").exists()
+        # One self-describing npz: the session block rides in its header.
+        block = read_checkpoint(tmp_path / f"{sid}.npz")["session"]
+        assert block == {"config": config, "pushes": len(payloads),
+                         "finalized": False}
+        assert not list(tmp_path.glob("*.json"))
 
         # A fresh manager over the same directory adopts the session.
         revived = SessionManager(checkpoint_dir=tmp_path)
@@ -271,6 +276,25 @@ class TestDrain:
         revived = SessionManager(checkpoint_dir=tmp_path)
         info = revived.session_info(sid)
         assert info["config"]["warmup"] == 7
+
+    def test_walless_empty_session_survives_eviction_and_drain(
+            self, tmp_path, payloads):
+        manager = SessionManager(max_sessions=1, checkpoint_dir=tmp_path,
+                                 wal=False)
+        empty = manager.create_session({"seed": 3, "warmup": 2})["session"]
+        manager.create_session({})  # evicts the empty session
+        assert not manager.session_info(empty)["resident"]
+        manager.push(empty, payloads[0])  # resurrected from its npz
+        manager.drain()
+        revived = SessionManager(checkpoint_dir=tmp_path, wal=False)
+        for payload in payloads[1:]:
+            revived.push(empty, payload)
+        reference = SessionManager(checkpoint_dir=tmp_path / "ref")
+        sid = reference.create_session({"seed": 3, "warmup": 2})["session"]
+        for payload in payloads:
+            reference.push(sid, payload)
+        assert entries(revived.report(empty)) == \
+            entries(reference.report(sid))
 
 
 class TestSanitizeRoute:

@@ -1,6 +1,7 @@
 """The session write-ahead log: format roundtrips, torn-tail
-tolerance, compaction, replay-to-exact-state after a hard kill, and
-the checkpoint quarantine rules at adoption."""
+tolerance, compaction, replay-to-exact-state after a hard kill, torn
+checkpoints, durable finalize, stores written before the npz session
+block, and the checkpoint quarantine rules at adoption."""
 
 from __future__ import annotations
 
@@ -11,10 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.resilience.chaos import flip_bytes, truncate_tail
-from repro.service import SessionManager, SessionWal
+from repro.resilience import read_checkpoint, write_checkpoint
+from repro.resilience.chaos import ChaosStore, flip_bytes, truncate_tail
+from repro.service import SessionManager, SessionStateError, SessionWal
+from repro.store import LocalDirStore, StoreUnavailableError
 
 from .test_service_sessions import entries, random_payloads
 
@@ -26,7 +30,7 @@ def payloads():
 
 class TestWalFormat:
     def test_roundtrip(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key="abc.wal")
         wal.append_create("abc", {"seed": 3})
         last = wal.append_snapshots(payloads[:3], start_seq=0)
         assert last == 3
@@ -41,7 +45,7 @@ class TestWalFormat:
         assert contents.corrupt_lines == 0
 
     def test_degraded_flag_roundtrips(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key="abc.wal")
         wal.append_create("abc", {})
         wal.append_snapshots(payloads[:1], start_seq=0)
         wal.append_snapshots(payloads[1:2], start_seq=1, degraded=True)
@@ -49,29 +53,30 @@ class TestWalFormat:
         assert flags == [False, True]
 
     def test_torn_tail_is_dropped_not_fatal(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key="abc.wal")
         wal.append_create("abc", {})
         wal.append_snapshots(payloads[:3], start_seq=0)
-        truncate_tail(wal.path, 10)  # tear the last line mid-record
+        truncate_tail(tmp_path / "abc.wal", 10)  # tear the last line mid-record
         contents = wal.read()
         assert contents.valid
         assert contents.truncated
         assert [seq for seq, _, _ in contents.entries] == [1, 2]
 
     def test_corrupt_middle_line_counted(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key="abc.wal")
         wal.append_create("abc", {})
         wal.append_snapshots(payloads[:2], start_seq=0)
-        lines = wal.path.read_bytes().split(b"\n")
+        path = tmp_path / "abc.wal"
+        lines = path.read_bytes().split(b"\n")
         lines[1] = b"{garbage"
-        wal.path.write_bytes(b"\n".join(lines))
+        path.write_bytes(b"\n".join(lines))
         contents = wal.read()
         assert contents.valid
         assert contents.corrupt_lines == 1
         assert [seq for seq, _, _ in contents.entries] == [2]
 
     def test_compaction_filters_entries(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key="abc.wal")
         wal.append_create("abc", {"seed": 1})
         wal.append_snapshots(payloads[:4], start_seq=0)
         wal.compact("abc", {"seed": 1}, through_seq=4)
@@ -81,7 +86,8 @@ class TestWalFormat:
         assert [seq for seq, _, _ in contents.entries] == [5, 6]
 
     def test_missing_file_reads_empty(self, tmp_path):
-        contents = SessionWal(tmp_path / "nothing.wal").read()
+        contents = SessionWal(store=LocalDirStore(tmp_path),
+                              key="nothing.wal").read()
         assert not contents.valid
         assert contents.entries == []
 
@@ -117,7 +123,7 @@ class TestHardKillReplay:
         sid = manager.create_session({"seed": 3})["session"]
         for payload in payloads[:4]:
             manager.push(sid, payload)
-        manager.drain()  # npz + sidecar + compacted WAL
+        manager.drain()  # npz (with session block) + compacted WAL
         manager = SessionManager(checkpoint_dir=tmp_path)
         for payload in payloads[4:]:
             manager.push(sid, payload)  # these live only in the WAL
@@ -143,7 +149,7 @@ class TestHardKillReplay:
         sid = manager.create_session({"seed": 3})["session"]
         for payload in payloads[:5]:
             manager.push(sid, payload)
-        wal = SessionWal(tmp_path / f"{sid}.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key=f"{sid}.wal")
         contents = wal.read()
         assert contents.compacted_through >= 3
         assert (tmp_path / f"{sid}.npz").exists()
@@ -193,14 +199,14 @@ class TestQuarantine:
         SessionManager(checkpoint_dir=tmp_path)
         assert not (tmp_path / f"{sid}.npz").exists()
 
-    def test_corrupt_sidecar_json_quarantined(self, tmp_path, payloads):
+    def test_corrupt_npz_header_quarantined(self, tmp_path, payloads):
         sid = self.checkpointed_session(tmp_path, payloads)
-        (tmp_path / f"{sid}.json").write_text("{not json")
+        np.savez(tmp_path / f"{sid}.npz", meta_json=np.array("{not json"))
         revived = SessionManager(checkpoint_dir=tmp_path)
         assert revived.list_sessions()["sessions"] == []
         quarantined = {p.name for p in
                        (tmp_path / "quarantine").iterdir()}
-        assert f"{sid}.json" in quarantined
+        assert f"{sid}.npz" in quarantined
 
     def test_foreign_json_left_alone(self, tmp_path):
         foreign = tmp_path / "notes.json"
@@ -217,7 +223,7 @@ class TestQuarantine:
         # Corrupt the checkpoint, then hand the WAL the full history
         # (as if compaction never happened before the crash).
         truncate_tail(tmp_path / f"{sid}.npz", 64)
-        wal = SessionWal(tmp_path / f"{sid}.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key=f"{sid}.wal")
         wal.delete()
         wal.append_create(sid, {"seed": 3})
         wal.append_snapshots(payloads[:5], start_seq=0)
@@ -233,13 +239,132 @@ class TestQuarantine:
 
     def test_orphan_wal_with_watermark_but_no_npz_quarantined(
             self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "cafe.wal")
+        wal = SessionWal(store=LocalDirStore(tmp_path), key="cafe.wal")
         wal.append_create("cafe", {"seed": 3})
         wal.append_snapshots(payloads[:2], start_seq=0)
         wal.compact("cafe", {"seed": 3}, through_seq=2)
         revived = SessionManager(checkpoint_dir=tmp_path)
         assert revived.list_sessions()["sessions"] == []
         assert (tmp_path / "quarantine" / "cafe.wal").exists()
+
+
+class TornCheckpointStore(ChaosStore):
+    """Lets the next ``.npz`` put land once armed, then fails every
+    later put — the store dying between a checkpoint's writes."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.armed = False
+        self.tripped = False
+
+    def put(self, key, data, guard=None, token=None):
+        if self.tripped:
+            raise StoreUnavailableError(f"store lost before {key!r}")
+        super().put(key, data, guard=guard, token=token)
+        if self.armed and key.endswith(".npz"):
+            self.tripped = True
+
+
+def undisturbed_entries(tmp_path, payloads, **kwargs):
+    manager = SessionManager(checkpoint_dir=tmp_path / "undisturbed",
+                             **kwargs)
+    sid = manager.create_session({"seed": 3})["session"]
+    for payload in payloads:
+        manager.push(sid, payload)
+    return entries(manager.report(sid))
+
+
+class TestExactlyOnceRecovery:
+    """Recovery applies each acknowledged snapshot exactly once and
+    keeps a sealed session sealed."""
+
+    def test_torn_checkpoint_does_not_replay_pushes_twice(
+            self, tmp_path, payloads):
+        expected = undisturbed_entries(tmp_path, payloads)
+        store = TornCheckpointStore(LocalDirStore(tmp_path / "torn"))
+        manager = SessionManager(store=store, wal_compact_every=3)
+        sid = manager.create_session({"seed": 3})["session"]
+        for payload in payloads[:2]:
+            manager.push(sid, payload)
+        store.armed = True
+        with pytest.raises(StoreUnavailableError):
+            manager.push(sid, payloads[2])  # compaction checkpoint tears
+        manager.abandon()
+        revived = SessionManager(checkpoint_dir=tmp_path / "torn")
+        for payload in payloads[3:]:
+            revived.push(sid, payload)
+        assert entries(revived.report(sid)) == expected
+        assert revived.session_info(sid)["pushes"] == len(payloads)
+
+    def test_finalize_survives_hard_kill(self, tmp_path, payloads):
+        manager = SessionManager(checkpoint_dir=tmp_path)
+        sid = manager.create_session({"seed": 3})["session"]
+        for payload in payloads[:6]:
+            manager.push(sid, payload)
+        sealed = entries(manager.finalize(sid))
+        manager.abandon()  # hard kill: no checkpoint after finalize
+        revived = SessionManager(checkpoint_dir=tmp_path)
+        assert revived.session_info(sid)["finalized"]
+        with pytest.raises(SessionStateError):
+            revived.push(sid, payloads[6])
+        assert entries(revived.report(sid)) == sealed
+
+
+def write_legacy_sidecar(root, sid, config, pushes, empty):
+    """The sidecar an earlier release wrote next to its npz."""
+    (root / f"{sid}.json").write_text(json.dumps({
+        "format": "repro-service-session", "version": 1,
+        "session": sid, "config": config, "finalized": False,
+        "pushes": pushes, "empty": empty, "replica": "old-host-1",
+    }, indent=1))
+
+
+class TestLegacyStore:
+    """Stores written before the npz carried the session block (a
+    JSON sidecar beside it) still adopt, and convert on the next
+    checkpoint."""
+
+    def test_npz_without_block_plus_sidecar_adopts(self, tmp_path,
+                                                   payloads):
+        expected = undisturbed_entries(tmp_path, payloads)
+        root = tmp_path / "legacy"
+        manager = SessionManager(checkpoint_dir=root)
+        sid = manager.create_session({"seed": 3})["session"]
+        for payload in payloads[:4]:
+            manager.push(sid, payload)
+        config = manager.session_info(sid)["config"]
+        manager.drain()
+        wal = SessionWal(store=LocalDirStore(root), key=f"{sid}.wal")
+        wal.append_snapshots(payloads[4:6], start_seq=4)  # a WAL tail
+        state = read_checkpoint(root / f"{sid}.npz")
+        del state["session"]
+        write_checkpoint(state, root / f"{sid}.npz")
+        write_legacy_sidecar(root, sid, config, pushes=4, empty=False)
+
+        revived = SessionManager(checkpoint_dir=root)
+        for payload in payloads[6:]:
+            revived.push(sid, payload)
+        assert entries(revived.report(sid)) == expected
+        revived.drain()
+        assert not (root / f"{sid}.json").exists()
+        block = read_checkpoint(root / f"{sid}.npz")["session"]
+        assert block["pushes"] == len(payloads)
+
+    def test_sidecar_only_empty_session_adopts(self, tmp_path, payloads):
+        expected = undisturbed_entries(tmp_path, payloads, wal=False)
+        root = tmp_path / "legacy"
+        root.mkdir()
+        config = SessionManager(
+            checkpoint_dir=tmp_path / "probe", wal=False
+        ).create_session({"seed": 3})["config"]
+        write_legacy_sidecar(root, "0123abcd", config, pushes=0,
+                             empty=True)
+        revived = SessionManager(checkpoint_dir=root, wal=False)
+        for payload in payloads:
+            revived.push("0123abcd", payload)
+        assert entries(revived.report("0123abcd")) == expected
+        revived.drain()
+        assert sorted(p.name for p in root.iterdir()) == ["0123abcd.npz"]
 
 
 class TestSigkillSubprocess:
