@@ -346,7 +346,7 @@ def gate_fencing() -> None:
             "lease-stall chaos did not fire: no renewal was denied"
         # ...and the replica itself pauses (the canonical stalled
         # process / GC pause), so it cannot notice the loss.
-        replica_a._stop_heartbeat()
+        replica_a._ownership.stop_heartbeat()
         time.sleep(ttl + 0.3)  # the un-renewed lease expires
 
         replica_b = SessionManager(store=SharedStore(shared_root),

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="score eligible snapshot batches with this "
                        "many worker processes (repro.parallel)")
-    serve.add_argument("--no-wal", action="store_true",
+    serve.add_argument("--no-wal", dest="wal", action="store_false",
                        help="disable the per-session write-ahead log "
                        "(pushes since the last checkpoint are lost on "
                        "a hard kill)")
@@ -444,53 +444,17 @@ def _cmd_serve(args) -> int:
 
     if args.port < 0 or args.port > 65535:
         raise _UsageError(f"port must lie in [0, 65535], got {args.port}")
-    if args.max_sessions < 1:
-        raise _UsageError(
-            f"--max-sessions must be >= 1, got {args.max_sessions}"
-        )
-    if args.max_queue < 1:
-        raise _UsageError(
-            f"--max-queue must be >= 1, got {args.max_queue}"
-        )
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.request_deadline is not None and args.request_deadline <= 0:
-        raise _UsageError(
-            f"--request-deadline must be > 0, got {args.request_deadline}"
-        )
-    if args.breaker_threshold < 1:
-        raise _UsageError(
-            f"--breaker-threshold must be >= 1, got {args.breaker_threshold}"
-        )
-    if args.store is not None and args.checkpoint_dir is not None:
-        raise _UsageError(
-            "--store and --checkpoint-dir are mutually exclusive"
-        )
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        raise _UsageError(
-            f"--lease-ttl must be > 0, got {args.lease_ttl}"
-        )
-    if args.cache_budget_mb is not None and args.cache_budget_mb < 1:
-        raise _UsageError(
-            f"--cache-budget-mb must be >= 1, got {args.cache_budget_mb}"
-        )
-    return run_server(
-        host=args.host,
-        port=args.port,
-        max_sessions=args.max_sessions,
-        max_queue=args.max_queue,
-        checkpoint_dir=args.checkpoint_dir,
-        store=args.store,
-        replica_id=args.replica_id,
-        lease_ttl=args.lease_ttl,
-        workers=args.workers,
-        wal=not args.no_wal,
-        request_deadline=args.request_deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        factor_cache=args.factor_cache or args.cache_budget_mb is not None,
-        cache_budget_mb=args.cache_budget_mb,
-    )
+    # Every other flag is a SessionManager option of the same name,
+    # checked there before the port is bound.
+    options = dict(vars(args))
+    for name in ("command", "log_level", "log_json"):
+        del options[name]
+    options["factor_cache"] = args.factor_cache or \
+        args.cache_budget_mb is not None
+    try:
+        return run_server(**options)
+    except ValueError as error:
+        raise _UsageError(str(error)) from error
 
 
 def _cmd_cluster_worker(args) -> int:

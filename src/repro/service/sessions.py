@@ -1,14 +1,12 @@
 """Session lifecycle for the detection service.
 
 A :class:`SessionManager` owns many concurrent
-:class:`~repro.core.streaming.StreamingCadDetector` streams:
+:class:`~repro.core.streaming.StreamingCadDetector` streams and their
+durable state: it creates, pushes to, reports, finalizes, deletes,
+evicts, resurrects, drains, adopts and quarantines sessions.
 
 * **per-session locking** — pushes to one session serialise, pushes to
   distinct sessions run concurrently under the threading HTTP server;
-* **bounded ingest** — a global budget of ``max_queue`` snapshots may
-  be in flight at once; beyond it pushes fail fast with
-  :class:`~repro.service.errors.CapacityError` (HTTP 429 +
-  ``Retry-After``) instead of queueing unboundedly;
 * **LRU eviction** — at most ``max_sessions`` detectors stay resident;
   the least-recently-used idle session is checkpointed to the store
   (one npz whose header also carries the session's config and push
@@ -24,20 +22,15 @@ A :class:`SessionManager` owns many concurrent
   :class:`~repro.store.SessionStore`: a local directory
   (byte-compatible with the pre-store layout) or a shared
   multi-replica prefix (:class:`~repro.store.SharedStore`);
-* **replica-safe ownership** — with ``lease_ttl`` set, every session
-  is protected by a TTL lease with a monotonic fencing token
-  (:mod:`repro.store.lease`): a heartbeat renews held leases, any
-  replica adopts a session whose lease expired or was released, and
-  every WAL append / checkpoint write is guarded so a stale owner's
-  writes are rejected instead of corrupting the new owner's state;
-* **failure isolation** — per-session circuit breakers trip
-  persistently failing sessions to 503-with-reason, request deadlines
-  bound how long a push may wait on a wedged session, and sustained
-  queue pressure flips the manager into a *degraded mode* that sheds
-  eligible sessions onto the approximate commute-time backend;
-* **quarantine** — corrupt checkpoints/WALs found at startup are moved
-  under the store's ``quarantine/`` prefix with a logged reason
-  instead of crashing adoption.
+* **quarantine** — corrupt checkpoints/WALs found at adoption are
+  moved under the store's ``quarantine/`` prefix with a logged reason
+  instead of crashing it.
+
+The other decisions sit behind one small component each:
+:mod:`~repro.service.ownership` (who may write a session: leases,
+fencing, heartbeat, replica catalogue), :mod:`~repro.service.admission`
+(the ingest budget, ``Retry-After`` and degraded mode) and
+:mod:`~repro.service.breaker` (per-session circuit breakers).
 
 Batch pushes can be routed through the parallel engine
 (:class:`~repro.parallel.ParallelCadDetector`, ``workers > 1``) when
@@ -48,25 +41,17 @@ anything else falls back to serial pushes.
 from __future__ import annotations
 
 import dataclasses
-import os
-import socket
 import tempfile
 import threading
 import time
 import uuid
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
 from ..core.streaming import DetectionStream, StreamingCadDetector
 from ..detectors.streaming import StreamingDetector
-from ..exceptions import (
-    CheckpointError,
-    DetectionError,
-    GraphConstructionError,
-    SanitizationError,
-)
+from ..exceptions import CheckpointError
 from ..graphs.dynamic import DynamicGraph
 from ..graphs.snapshot import GraphSnapshot, NodeUniverse
 from ..observability import (
@@ -85,25 +70,23 @@ from ..pipeline.serialize import (
 from ..store import (
     FencedWriteError,
     Lease,
-    LeaseManager,
     LocalDirStore,
-    ReplicaCatalog,
     SessionStore,
     StoreError,
     StoreUnavailableError,
     resolve_store,
 )
+from .admission import Admission
+from .breaker import Breaker
 from .errors import (
-    CapacityError,
-    CircuitOpenError,
     DeadlineError,
     NotFoundError,
     NotOwnerError,
     ServiceError,
     SessionStateError,
     ShuttingDownError,
-    bounded_retry_after,
 )
+from .ownership import default_replica_id, ownership_for
 from .protocol import (
     SessionConfig,
     parse_session_config,
@@ -122,12 +105,6 @@ from .wal import (
 )
 
 _logger = get_logger("service.sessions")
-
-def default_replica_id() -> str:
-    """``<hostname>-<pid>``: stable for the process's lifetime and
-    distinguishable across replicas, so lease records and failover
-    logs from different replicas never collide on a generic default."""
-    return f"{socket.gethostname()}-{os.getpid()}"
 
 
 def build_stream(config: SessionConfig,
@@ -148,10 +125,6 @@ def build_stream(config: SessionConfig,
         return stream_class(**kwargs)
     return stream_class.restore(checkpoint, **kwargs)
 
-#: Utilization at/below which pressure is considered relieved (the
-#: degraded-mode hysteresis floor; the ceiling is configurable).
-DEGRADE_RECOVER_UTILIZATION = 0.25
-
 #: Attempts per durable-store write before a transient
 #: :class:`~repro.store.StoreUnavailableError` escalates to the caller.
 STORE_WRITE_ATTEMPTS = 3
@@ -166,15 +139,16 @@ class SessionRecord:
     __slots__ = (
         "session_id", "config", "lock", "detector", "universe",
         "last_active", "finalized", "pushes", "has_checkpoint",
-        "wal", "wal_pending", "breaker_failures", "breaker_until",
-        "breaker_trips", "breaker_reason", "degraded_pushes", "lease",
+        "wal", "wal_pending", "breaker", "degraded_pushes", "lease",
     )
 
-    def __init__(self, session_id: str, config: SessionConfig):
+    def __init__(self, session_id: str, config: SessionConfig,
+                 breaker: Breaker):
         self.session_id = session_id
         self.config = config
         self.lock = threading.Lock()
-        self.detector: DetectionStream | None = build_stream(config)
+        #: The live stream (None while evicted to the store).
+        self.detector: DetectionStream | None = None
         self.universe: NodeUniverse | None = None
         self.last_active = 0
         self.finalized = False
@@ -184,13 +158,7 @@ class SessionRecord:
         self.wal: SessionWal | None = None
         #: Snapshot entries appended since the last WAL compaction.
         self.wal_pending = 0
-        # Circuit-breaker state: consecutive server-side failures, the
-        # monotonic time the breaker stays open until, lifetime trips,
-        # and the reason it last tripped.
-        self.breaker_failures = 0
-        self.breaker_until = 0.0
-        self.breaker_trips = 0
-        self.breaker_reason = ""
+        self.breaker = breaker
         #: Snapshots this session scored on the shed (approximate)
         #: backend while the manager was degraded.
         self.degraded_pushes = 0
@@ -206,6 +174,10 @@ class SessionRecord:
 
 class SessionManager:
     """Thread-safe owner of every live and evicted session.
+
+    Out-of-range options raise ``ValueError`` before any directory,
+    thread or socket exists; :func:`~repro.service.make_server` and
+    ``cad-detect serve`` forward them unchanged.
 
     Args:
         max_sessions: resident-detector ceiling; the LRU idle session
@@ -275,30 +247,32 @@ class SessionManager:
                  factor_cache: bool = False,
                  cache_budget_mb: int | None = None,
                  catalog_ttl: float = 15.0):
-        if max_sessions < 1:
-            raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if breaker_threshold < 1:
+        for name, value in (("max_sessions", max_sessions),
+                            ("workers", workers),
+                            ("breaker_threshold", breaker_threshold),
+                            ("cache_budget_mb", cache_budget_mb)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name, value in (("request_deadline", request_deadline),
+                            ("lease_ttl", lease_ttl),
+                            ("catalog_ttl", catalog_ttl)):
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if store is not None and checkpoint_dir is not None:
             raise ValueError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
+                "store and checkpoint_dir are mutually exclusive"
             )
+        self._admission = Admission(max_queue, degrade_pressure,
+                                    degrade_after)
         self._max_sessions = int(max_sessions)
-        self._max_queue = int(max_queue)
-        self._workers = max(int(workers), 1)
+        self._workers = int(workers)
         self._wal = bool(wal)
         self._wal_compact_every = max(int(wal_compact_every), 1)
         self._request_deadline = request_deadline
         self._breaker_threshold = int(breaker_threshold)
         self._breaker_cooldown = float(breaker_cooldown)
-        self._degrade_pressure = float(degrade_pressure)
-        self._degrade_after = max(int(degrade_after), 1)
         self._factor_cache = bool(factor_cache)
         self._cache_budget_mb = cache_budget_mb
-        if store is not None and checkpoint_dir is not None:
-            raise ValueError(
-                "pass either store= or checkpoint_dir=, not both"
-            )
         if store is not None:
             self._store = resolve_store(store)
         else:
@@ -311,42 +285,21 @@ class SessionManager:
         # Every log record this process emits now carries the replica
         # identity, so interleaved multi-replica logs stay attributable.
         set_log_context(replica=self._replica_id)
-        self._leases: LeaseManager | None = None
-        if lease_ttl is not None:
-            self._leases = LeaseManager(self._store, self._replica_id,
-                                        float(lease_ttl))
-        self._catalog = ReplicaCatalog(self._store, self._replica_id,
-                                       ttl=float(catalog_ttl))
-        self._catalog_stop = threading.Event()
-        self._catalog_thread: threading.Thread | None = None
+        self._ownership = ownership_for(self._store, self._replica_id,
+                                        lease_ttl, catalog_ttl)
         self._sessions: dict[str, SessionRecord] = {}
         self._table_lock = threading.Lock()
-        # Serializes store-adoption probes so two concurrent requests
-        # for the same unknown session don't both acquire its lease
-        # (the second acquisition would bump the token and fence the
-        # first's writes for nothing).
-        self._discover_lock = threading.Lock()
+        # Serializes store adoption so two concurrent requests for the
+        # same unknown session don't both acquire its lease (the second
+        # acquisition would bump the token and fence the first's
+        # writes for nothing).
+        self._adopt_lock = threading.Lock()
         self._clock = 0  # monotonic LRU counter, guarded by _table_lock
-        self._in_flight = 0  # ingest budget in use, guarded by _table_lock
         self._draining = False
-        # Degraded-mode state, guarded by _table_lock: recent
-        # per-snapshot ingest latencies (the Retry-After estimator) and
-        # the pressure/calm streak counters.
-        self._latencies: deque[float] = deque(maxlen=32)
-        self._degraded = False
-        self._pressure_high = 0
-        self._pressure_low = 0
-        self._load_existing()
+        self._adopt_stored()
         # The lease heartbeat starts only after startup adoption, so
-        # it never races _load_existing's acquisitions.
-        self._heartbeat_stop = threading.Event()
-        self._heartbeat: threading.Thread | None = None
-        if self._leases is not None:
-            self._heartbeat = threading.Thread(
-                target=self._heartbeat_loop, daemon=True,
-                name="lease-heartbeat",
-            )
-            self._heartbeat.start()
+        # it never races its acquisitions.
+        self._ownership.start(self._records, self._drop)
 
     # -- public properties ---------------------------------------------------
 
@@ -365,12 +318,6 @@ class SessionManager:
         """This replica's identity in lease records."""
         return self._replica_id
 
-    @property
-    def advertised_url(self) -> str | None:
-        """The base URL advertised to the catalogue (``None`` before
-        :meth:`advertise`)."""
-        return self._catalog.url
-
     def advertise(self, url: str) -> None:
         """Publish this replica's address to the shared catalogue.
 
@@ -379,38 +326,16 @@ class SessionManager:
         catalogue TTL, so a SIGKILLed replica ages out within one TTL
         while live ones stay listed.
         """
-        self._catalog.advertise(url)
-        if self._catalog_thread is None:
-            self._catalog_thread = threading.Thread(
-                target=self._catalog_loop, daemon=True,
-                name="replica-catalog",
-            )
-            self._catalog_thread.start()
-        _logger.info("advertised %s in the replica catalogue", url)
+        self._ownership.advertise(url)
 
     def replica_catalogue(self) -> dict[str, Any]:
         """The live replica catalogue, for ``GET /replicas``."""
         return {
             "replica": self._replica_id,
-            "url": self._catalog.url,
+            "url": self._ownership.url,
             "store": self._store.describe(),
-            "replicas": [
-                record.describe() for record in self._catalog.live()
-            ],
+            "replicas": self._ownership.live_replicas(),
         }
-
-    def _catalog_loop(self) -> None:
-        interval = max(self._catalog.ttl / 3.0, 0.05)
-        while not self._catalog_stop.wait(interval):
-            self._catalog.refresh()
-
-    def _stop_catalog(self, withdraw: bool) -> None:
-        self._catalog_stop.set()
-        if self._catalog_thread is not None:
-            self._catalog_thread.join(timeout=2.0)
-            self._catalog_thread = None
-        if withdraw:
-            self._catalog.withdraw()
 
     @property
     def draining(self) -> bool:
@@ -418,15 +343,10 @@ class SessionManager:
         return self._draining
 
     @property
-    def workers(self) -> int:
-        """Worker processes for eligible batch pushes (1 = serial)."""
-        return self._workers
-
-    @property
     def degraded(self) -> bool:
         """Whether sustained pressure is shedding eligible sessions
         onto the approximate backend."""
-        return self._degraded
+        return self._admission.degraded
 
     def begin_drain(self) -> None:
         """Stop accepting new sessions and pushes (in-flight finish)."""
@@ -441,24 +361,24 @@ class SessionManager:
         config = parse_session_config(document)
         config = self._apply_cache_defaults(config)
         session_id = uuid.uuid4().hex[:12]
-        record = SessionRecord(session_id, config)
-        if self._leases is not None:
-            lease = self._leases.acquire(session_id)
-            if lease is None:
-                raise ServiceError(
-                    f"could not acquire the lease for new session "
-                    f"{session_id}"
-                )
-            record.lease = lease
+        record = self._new_record(session_id, config)
+        record.detector = build_stream(config)
+        try:
+            record.lease = self._ownership.claim(session_id)
+        except NotOwnerError as error:
+            raise ServiceError(
+                f"could not acquire the lease for new session "
+                f"{session_id}"
+            ) from error
         if self._wal:
             record.wal = self._make_wal(session_id)
             self._with_store_retries(
                 lambda: record.wal.append_create(
                     session_id, config.to_document(),
-                    guard=self._guard_for(record),
+                    guard=self._ownership.guard(record),
                 )
             )
-        self._adopt(record)
+        self._register(record)
         self._evict_over_limit()
         add_counter("service_sessions_created_total")
         _logger.info("session %s created", session_id)
@@ -491,8 +411,8 @@ class SessionManager:
             raise ShuttingDownError()
         documents = snapshot_documents(body)
         record = self._get(session_id)
-        self._check_breaker(record)
-        self._acquire_ingest(len(documents))
+        record.breaker.check()
+        self._admission.acquire(len(documents))
         started = time.monotonic()
         try:
             with self._session_lock(record), \
@@ -507,18 +427,27 @@ class SessionManager:
                     quarantined_before = len(
                         detector.health.quarantined
                     )
+                    universe = record.universe
                     snapshots = self._parse_batch(record, documents)
                     degraded = self._should_degrade(record, detector)
                     results = self._ingest(record, detector, snapshots,
                                            degraded=degraded)
-                    self._wal_append(record, documents, degraded)
+                    try:
+                        self._wal_append(record, documents, degraded)
+                    except Exception:
+                        # The stream holds a batch the store never
+                        # acknowledged: drop it, so the next request
+                        # resurrects from the npz and WAL instead of
+                        # scoring a resend twice.
+                        record.detector, record.universe = None, universe
+                        raise
                     record.pushes += len(documents)
-                    self._note_success(record)
+                    record.breaker.success()
                     self._maybe_compact(record)
                 except FencedWriteError as error:
                     raise self._fenced(record, error) from error
                 except Exception as error:
-                    self._note_failure(record, error)
+                    record.breaker.failure(error)
                     raise
                 quarantined_after = len(detector.health.quarantined)
                 add_counter("service_snapshots_ingested_total",
@@ -531,9 +460,9 @@ class SessionManager:
                     response["degraded"] = True
                 return response
         finally:
-            self._observe_latency(time.monotonic() - started,
-                                  len(documents))
-            self._release_ingest(len(documents))
+            self._admission.observe(time.monotonic() - started,
+                                    len(documents))
+            self._admission.release(len(documents))
             self._touch(record)
             self._evict_over_limit()
 
@@ -575,8 +504,8 @@ class SessionManager:
                 try:
                     self._with_store_retries(
                         lambda: record.wal.append_finalize(
-                            token=self._token_for(record),
-                            guard=self._guard_for(record),
+                            token=self._ownership.token(record),
+                            guard=self._ownership.guard(record),
                         )
                     )
                 except FencedWriteError as error:
@@ -587,19 +516,22 @@ class SessionManager:
         return document
 
     def delete(self, session_id: str) -> None:
-        """Drop a session, its stored state, and its lease."""
-        with self._table_lock:
-            record = self._sessions.pop(session_id, None)
-            self._update_gauges()
-        if record is None:
-            raise NotFoundError(f"no session {session_id!r}")
+        """Drop a session, its stored state, and its lease.
+
+        Requires ownership: a session leased to a live replica raises
+        :class:`~repro.service.errors.NotOwnerError` and stays intact.
+        """
+        record = self._get(session_id)
         with record.lock:
-            record.detector = None
+            with self._table_lock:
+                if self._sessions.get(session_id) is not record:
+                    raise NotFoundError(f"no session {session_id!r}")
+            self._ownership.ensure(record)
             for key in session_keys(session_id):
                 self._store.delete(key)
-            if self._leases is not None:
-                self._leases.forget(session_id)
-                record.lease = None
+            self._ownership.forget(session_id)
+            record.detector = None
+            self._drop(record)
         add_counter("service_sessions_deleted_total")
         _logger.info("session %s deleted", session_id)
 
@@ -609,18 +541,17 @@ class SessionManager:
 
     def list_sessions(self) -> dict[str, Any]:
         """Summaries of every known session."""
-        with self._table_lock:
-            records = list(self._sessions.values())
+        records = self._records()
         return {
             "sessions": [self._info_document(r) for r in records],
             "resident": sum(r.resident for r in records),
             "draining": self._draining,
-            "degraded": self._degraded,
+            "degraded": self.degraded,
             "replica": self._replica_id,
             "store": self._store.describe(),
         }
 
-    # -- drain & eviction ----------------------------------------------------
+    # -- drain, eviction and dropping ----------------------------------------
 
     def drain(self) -> int:
         """Checkpoint every resident session to the store; return how
@@ -632,29 +563,14 @@ class SessionManager:
         against stragglers — we still take them for safety.
         """
         self._draining = True
-        self._stop_heartbeat()
-        self._stop_catalog(withdraw=True)
-        with self._table_lock:
-            records = list(self._sessions.values())
+        self._ownership.stop(withdraw=True)
+        records = self._records()
         drained = 0
         with trace("service.drain", sessions=len(records)):
             for record in records:
                 with record.lock:
-                    if record.detector is None:
-                        self._release_lease(record)
-                        continue
-                    try:
-                        self._checkpoint_record(record)
-                        if record.detector.latest_snapshot is not None:
-                            drained += 1
-                    except FencedWriteError as error:
-                        _logger.warning(
-                            "session %s fenced during drain: %s",
-                            record.session_id, error,
-                        )
-                        add_counter("service_fenced_writes_total")
-                    record.detector = None
-                    self._release_lease(record)
+                    drained += self._checkpoint_and_release(record,
+                                                            "drain")
         _logger.info("drained %d session(s) to %s", drained,
                      self._store.describe())
         return drained
@@ -665,12 +581,10 @@ class SessionManager:
         Stops lease heartbeats and forgets all in-memory state without
         checkpointing or releasing anything — exactly what a SIGKILLed
         replica leaves behind: unreleased leases (adoptable after the
-        TTL) and a WAL holding every acknowledged push.
+        TTL), a catalogue record left to age out, and a WAL holding
+        every acknowledged push.
         """
-        self._stop_heartbeat()
-        # The catalogue record is deliberately *not* withdrawn: a
-        # SIGKILLed replica leaves its advertisement to age out.
-        self._stop_catalog(withdraw=False)
+        self._ownership.stop(withdraw=False)
         self._draining = True
         with self._table_lock:
             self._sessions.clear()
@@ -699,32 +613,53 @@ class SessionManager:
                     # the next push's epilogue will retry.
                     return
             try:
-                self._evict_locked(victim)
+                with trace("service.evict", session=victim.session_id):
+                    self._checkpoint_and_release(victim, "eviction")
             finally:
                 victim.lock.release()
+            add_counter("service_evictions_total")
+            _logger.info("session %s evicted to the store",
+                         victim.session_id)
 
-    def _evict_locked(self, record: SessionRecord) -> None:
-        """Checkpoint + drop one session's detector (lock held)."""
-        if record.detector is None:
-            return
-        with trace("service.evict", session=record.session_id):
+    def _checkpoint_and_release(self, record: SessionRecord,
+                                during: str) -> bool:
+        """Checkpoint a resident session, drop its detector and release
+        its lease so any replica (us included) can pick it up (lock
+        held). Returns whether stream state was written."""
+        written = False
+        if record.detector is not None:
             try:
                 self._checkpoint_record(record)
+                written = record.detector.latest_snapshot is not None
             except FencedWriteError as error:
-                # Ownership moved mid-eviction; the new owner has the
+                # Ownership moved meanwhile; the new owner has the
                 # authoritative state — just drop ours.
-                _logger.warning("session %s fenced during eviction: %s",
-                                record.session_id, error)
+                _logger.warning("session %s fenced during %s: %s",
+                                record.session_id, during, error)
                 add_counter("service_fenced_writes_total")
             record.detector = None
-            # An evicted session needs no protection from us; release
-            # the lease so any replica (us included) can pick it up.
-            self._release_lease(record)
-        add_counter("service_evictions_total")
+        self._ownership.release(record.lease)
+        record.lease = None
         with self._table_lock:
             self._update_gauges()
-        _logger.info("session %s evicted to the store",
-                     record.session_id)
+        return written
+
+    def _fenced(self, record: SessionRecord,
+                error: FencedWriteError) -> NotOwnerError:
+        """Ownership moved mid-request: drop our stale state (lock
+        held) and translate the rejection for the client."""
+        record.detector = None
+        self._drop(record)
+        return self._ownership.fenced(record.session_id, error)
+
+    def _drop(self, record: SessionRecord) -> None:
+        """Forget a session locally: no lease, out of the table. An
+        in-flight push on it is fenced at its next store write."""
+        record.lease = None
+        with self._table_lock:
+            if self._sessions.get(record.session_id) is record:
+                del self._sessions[record.session_id]
+            self._update_gauges()
 
     def _checkpoint_record(self, record: SessionRecord) -> None:
         """Write one session's npz, then compact its WAL (lock held).
@@ -734,7 +669,7 @@ class SessionManager:
         that fails afterwards leaves only WAL entries replay skips.
         """
         npz_key, _, sidecar_key = session_keys(record.session_id)
-        token = self._token_for(record)
+        token = self._ownership.token(record)
         data = encode_checkpoint(
             record.detector.checkpoint(),
             SessionHeader(record.config.to_document(), record.pushes,
@@ -742,7 +677,7 @@ class SessionManager:
         )
         self._with_store_retries(
             lambda: self._store.put(npz_key, data,
-                                    guard=self._guard_for(record),
+                                    guard=self._ownership.guard(record),
                                     token=token)
         )
         record.has_checkpoint = True
@@ -753,20 +688,21 @@ class SessionManager:
                 lambda: record.wal.compact(
                     record.session_id, record.config.to_document(),
                     record.pushes, token=token,
-                    guard=self._guard_for(record),
+                    guard=self._ownership.guard(record),
                 )
             )
             record.wal_pending = 0
 
     def _resurrect(self, record: SessionRecord) -> DetectionStream:
         """Rebuild an evicted session's detector from the store
-        (lock held): restore its npz if one was written, else start
-        fresh, then replay the WAL past the restored watermark."""
-        self._ensure_owner(record)
+        (lock and lease held): restore its npz if one was written, else
+        start fresh, then replay the WAL past the restored watermark."""
         with trace("service.resurrect", session=record.session_id):
             state = load_checkpoint(self._store, record.session_id)
             detector = build_stream(record.config, state)
-        if state is not None and "session" in state:
+        if state is None:
+            record.pushes = 0  # a fresh stream replays the whole log
+        elif "session" in state:
             # The watermark of the state actually restored: under
             # leases another replica may have advanced the session.
             header = SessionHeader.from_block(state["session"])
@@ -784,20 +720,12 @@ class SessionManager:
                      record.session_id, self._store.describe())
         return detector
 
-    # -- startup adoption ----------------------------------------------------
+    # -- adoption from the store ---------------------------------------------
 
-    def _load_existing(self) -> None:
-        """Adopt sessions a previous (or sibling) process left in the
-        store.
-
-        Corrupt artifacts (truncated npz, unreadable session block,
-        torn WAL header) are moved under the store's ``quarantine/``
-        prefix with a logged reason instead of crashing startup; a WAL
-        that still holds a session's full history can stand in for its
-        damaged checkpoint. Under leases, sessions owned by a live
-        replica are skipped here and adopted on demand once their
-        lease lapses.
-        """
+    def _adopt_stored(self) -> None:
+        """Adopt every session a previous (or sibling) process left in
+        the store. Sessions leased to a live replica are skipped here
+        and adopted on demand once their lease lapses."""
         try:
             keys = self._store.list()
         except StoreError as error:
@@ -805,27 +733,46 @@ class SessionManager:
             return
         candidates = {session_id_of(key) for key in keys} - {None}
         for session_id in sorted(candidates):
+            try:
+                self._adopt_from_store(session_id, startup=True)
+            except NotOwnerError:
+                _logger.info("session %s is leased to another replica; "
+                             "deferring adoption", session_id)
+
+    def _adopt_from_store(self, session_id: str,
+                          startup: bool = False) -> SessionRecord | None:
+        """Adopt a session found in the store: at startup, or when a
+        request names a session this replica does not know. ``None``
+        when the store holds nothing adoptable for it.
+
+        Raises:
+            NotOwnerError: the session exists but its lease is held by
+                a live replica; the client should retry (here or
+                there) after the remaining TTL.
+        """
+        if not session_id or "/" in session_id:
+            return None
+        with self._adopt_lock:
             with self._table_lock:
-                if session_id in self._sessions:
-                    continue
-            lease = None
-            if self._leases is not None:
-                lease = self._acquire_with_adoption(session_id,
-                                                    startup=True)
-                if lease is None:
-                    _logger.info(
-                        "session %s is leased to another replica; "
-                        "deferring adoption", session_id,
-                    )
-                    continue
+                record = self._sessions.get(session_id)
+            if record is not None:
+                return record  # a concurrent request adopted it first
+            try:
+                if not any(self._store.exists(key)
+                           for key in session_keys(session_id)):
+                    return None
+            except StoreError:
+                return None
+            lease = self._ownership.claim(session_id, startup)
             record = self._record_from_store(session_id)
             if record is None:
-                if lease is not None:
-                    self._leases.release(lease)
-                continue
+                self._ownership.release(lease)
+                return None
             record.lease = lease
-            self._adopt(record)
-            _logger.info("adopted stored session %s", session_id)
+            self._register(record)
+        _logger.info("adopted session %s from %s", session_id,
+                     self._store.describe())
+        return record
 
     def _record_from_store(self,
                            session_id: str) -> SessionRecord | None:
@@ -866,8 +813,7 @@ class SessionManager:
             self._quarantine(f"bad session config: {error}",
                              npz_key, sidecar_key, wal_key)
             return None
-        record = SessionRecord(session_id, config)
-        record.detector = None  # resurrect lazily on first touch
+        record = self._new_record(session_id, config)
         record.pushes = header.pushes
         record.finalized = header.finalized or log.finalized
         record.has_checkpoint = has_checkpoint
@@ -875,14 +821,8 @@ class SessionManager:
         record.wal_pending = len(log.entries)
         return record
 
-    def _adopt(self, record: SessionRecord) -> None:
-        with self._table_lock:
-            record.last_active = self._tick()
-            self._sessions[record.session_id] = record
-            self._update_gauges()
-
     def _quarantine(self, reason: str, *keys: str) -> None:
-        """Move corrupt artifacts aside instead of crashing startup."""
+        """Move corrupt artifacts aside instead of crashing adoption."""
         for key in keys:
             if not self._store.exists(key):
                 continue
@@ -894,154 +834,6 @@ class SessionManager:
                 continue
             add_counter("service_quarantined_files_total")
             _logger.warning("quarantined %s: %s", key, reason)
-
-    # -- ownership -----------------------------------------------------------
-
-    def _acquire_with_adoption(self, session_id: str,
-                               startup: bool = False) -> Lease | None:
-        """Acquire a session's lease, counting cross-replica
-        failover adoptions."""
-        assert self._leases is not None
-        previous = self._leases.peek(session_id)
-        lease = self._leases.acquire(session_id)
-        if lease is not None and previous is not None and \
-                previous.owner != self._replica_id:
-            add_counter("service_failover_adoptions_total")
-            _logger.warning(
-                "adopted session %s from replica %s (%s, token %d)",
-                session_id, previous.owner,
-                "startup" if startup else "failover", lease.token,
-            )
-        return lease
-
-    def _ensure_owner(self, record: SessionRecord) -> None:
-        """Hold (or take) the session's lease before touching state."""
-        if self._leases is None or record.lease is not None:
-            return
-        lease = self._acquire_with_adoption(record.session_id)
-        if lease is None:
-            raise self._not_owner(record.session_id)
-        record.lease = lease
-
-    def _not_owner(self, session_id: str) -> NotOwnerError:
-        holder = None
-        if self._leases is not None:
-            holder = self._leases.peek(session_id)
-        if holder is not None:
-            return NotOwnerError(
-                f"session {session_id} is leased to {holder.owner} "
-                f"(token {holder.token})",
-                retry_after=bounded_retry_after(
-                    max(holder.remaining(), 0.5)
-                ),
-                owner=holder.owner,
-                owner_url=self._owner_url(holder.owner),
-            )
-        return NotOwnerError(
-            f"session {session_id} could not be leased (contention)",
-            retry_after=bounded_retry_after(0.5),
-        )
-
-    def _owner_url(self, owner: str) -> str | None:
-        """The owning replica's advertised address, if catalogued."""
-        if owner == self._replica_id:
-            return None
-        record = self._catalog.lookup(owner)
-        return None if record is None else record.url
-
-    def _fenced(self, record: SessionRecord,
-                error: FencedWriteError) -> NotOwnerError:
-        """Ownership moved mid-request: drop our stale state and
-        translate the rejection for the client."""
-        add_counter("service_fenced_writes_total")
-        _logger.warning("session %s: write fenced (%s); dropping "
-                        "local state", record.session_id, error)
-        record.lease = None
-        record.detector = None
-        with self._table_lock:
-            self._sessions.pop(record.session_id, None)
-            self._update_gauges()
-        holder = None
-        if self._leases is not None:
-            holder = self._leases.peek(record.session_id)
-        return NotOwnerError(
-            f"session {record.session_id} moved to another replica: "
-            f"{error}",
-            retry_after=bounded_retry_after(1.0),
-            owner=None if holder is None else holder.owner,
-            owner_url=None if holder is None
-            else self._owner_url(holder.owner),
-        )
-
-    def _guard_for(self, record: SessionRecord):
-        """The fencing guard stamped onto every store write."""
-        if self._leases is None:
-            return None
-        lease = record.lease
-        if lease is None:
-            session_id = record.session_id
-
-            def rejected() -> None:
-                raise FencedWriteError(
-                    f"replica {self._replica_id} holds no lease on "
-                    f"session {session_id}"
-                )
-
-            return rejected
-        return self._leases.guard(record.session_id, lease.token)
-
-    def _token_for(self, record: SessionRecord) -> int | None:
-        return None if record.lease is None else record.lease.token
-
-    def _release_lease(self, record: SessionRecord) -> None:
-        if self._leases is None or record.lease is None:
-            return
-        self._leases.release(record.lease)
-        record.lease = None
-
-    def _lost_lease(self, record: SessionRecord) -> None:
-        """Heartbeat found our lease gone: another replica owns the
-        session now. Drop it from the table; an in-flight push (if
-        any) is fenced at its next store write."""
-        add_counter("service_lease_expiries_total")
-        _logger.warning(
-            "lost the lease on session %s; dropping local state",
-            record.session_id,
-        )
-        record.lease = None
-        with self._table_lock:
-            self._sessions.pop(record.session_id, None)
-            self._update_gauges()
-
-    def _heartbeat_loop(self) -> None:
-        assert self._leases is not None
-        interval = max(self._leases.ttl / 3.0, 0.05)
-        while not self._heartbeat_stop.wait(interval):
-            self._renew_leases()
-
-    def _renew_leases(self) -> None:
-        with self._table_lock:
-            records = list(self._sessions.values())
-        for record in records:
-            lease = record.lease
-            if lease is None:
-                continue
-            try:
-                renewed = self._leases.renew(lease)
-            except StoreError:
-                # Partitioned from the store: keep local state; write
-                # guards fence us if ownership moves meanwhile.
-                continue
-            if renewed is None:
-                self._lost_lease(record)
-            else:
-                record.lease = renewed
-
-    def _stop_heartbeat(self) -> None:
-        self._heartbeat_stop.set()
-        if self._heartbeat is not None:
-            self._heartbeat.join(timeout=2.0)
-            self._heartbeat = None
 
     # -- ingest internals ----------------------------------------------------
 
@@ -1114,7 +906,7 @@ class SessionManager:
         is a correctness contract. Incremental streams require the
         exact backend on every push.
         """
-        return (self._degraded
+        return (self._admission.degraded
                 and record.config.method == "auto"
                 and not detector.incremental)
 
@@ -1157,8 +949,8 @@ class SessionManager:
         self._with_store_retries(
             lambda: wal.append_snapshots(
                 documents, start_seq=record.pushes, degraded=degraded,
-                token=self._token_for(record),
-                guard=self._guard_for(record),
+                token=self._ownership.token(record),
+                guard=self._ownership.guard(record),
             )
         )
         record.wal_pending += len(documents)
@@ -1223,86 +1015,7 @@ class SessionManager:
             for snapshot, scores in zip(batch, scored)
         ]
 
-    def _acquire_ingest(self, count: int) -> None:
-        """Claim ``count`` slots of the global ingest budget or 429."""
-        if count > self._max_queue:
-            raise CapacityError(
-                f"batch of {count} snapshots exceeds the ingest budget "
-                f"of {self._max_queue}; split the batch",
-                retry_after=bounded_retry_after(1.0),
-            )
-        with self._table_lock:
-            if self._in_flight + count > self._max_queue:
-                add_counter("service_rejections_total",
-                            reason="over_capacity")
-                self._note_pressure_locked(1.0)
-                raise CapacityError(
-                    f"ingest budget exhausted ({self._in_flight} of "
-                    f"{self._max_queue} snapshots in flight)",
-                    retry_after=bounded_retry_after(
-                        self._retry_after_locked()
-                    ),
-                )
-            self._in_flight += count
-            set_gauge("service_ingest_in_flight", self._in_flight)
-            self._note_pressure_locked(
-                self._in_flight / self._max_queue
-            )
-
-    def _release_ingest(self, count: int) -> None:
-        with self._table_lock:
-            self._in_flight = max(self._in_flight - count, 0)
-            set_gauge("service_ingest_in_flight", self._in_flight)
-
-    def _retry_after_locked(self) -> float:
-        """Backpressure-derived ``Retry-After`` estimate (lock held):
-        queue depth times the recent mean per-snapshot latency.
-        Jitter and the hard [floor, cap] clamp are applied by
-        :func:`~repro.service.errors.bounded_retry_after` at the
-        raise site."""
-        if self._latencies:
-            mean = sum(self._latencies) / len(self._latencies)
-        else:
-            mean = 1.0
-        return max(self._in_flight, 1) * mean
-
-    def _observe_latency(self, elapsed: float, count: int) -> None:
-        """Record a push's per-snapshot latency for the estimator."""
-        with self._table_lock:
-            self._latencies.append(
-                max(elapsed, 0.0) / max(count, 1)
-            )
-
-    def _note_pressure_locked(self, utilization: float) -> None:
-        """Track sustained budget pressure; flip degraded mode after
-        ``degrade_after`` consecutive observations (lock held)."""
-        if utilization >= self._degrade_pressure:
-            self._pressure_high += 1
-            self._pressure_low = 0
-            if not self._degraded and \
-                    self._pressure_high >= self._degrade_after:
-                self._degraded = True
-                set_gauge("service_degraded", 1)
-                add_counter("service_degraded_entries_total")
-                _logger.warning(
-                    "sustained ingest pressure (utilization %.2f); "
-                    "entering degraded mode", utilization,
-                )
-        elif utilization <= DEGRADE_RECOVER_UTILIZATION:
-            self._pressure_low += 1
-            self._pressure_high = 0
-            if self._degraded and \
-                    self._pressure_low >= self._degrade_after:
-                self._degraded = False
-                set_gauge("service_degraded", 0)
-                _logger.info(
-                    "ingest pressure relieved; leaving degraded mode"
-                )
-        else:
-            self._pressure_high = 0
-            self._pressure_low = 0
-
-    # -- failure isolation ---------------------------------------------------
+    # -- small helpers -------------------------------------------------------
 
     @contextmanager
     def _session_lock(self, record: SessionRecord):
@@ -1325,123 +1038,21 @@ class SessionManager:
         finally:
             record.lock.release()
 
-    def _check_breaker(self, record: SessionRecord) -> None:
-        """Reject the push while the session's breaker is open."""
-        remaining = record.breaker_until - time.monotonic()
-        if remaining > 0:
-            raise CircuitOpenError(
-                f"session {record.session_id} circuit breaker is "
-                f"open ({record.breaker_reason})",
-                retry_after=bounded_retry_after(max(remaining, 0.1)),
-            )
-
-    def _note_success(self, record: SessionRecord) -> None:
-        """A successful push closes the breaker fully."""
-        record.breaker_failures = 0
-        record.breaker_until = 0.0
-
-    def _note_failure(self, record: SessionRecord,
-                      error: BaseException) -> None:
-        if not self._counts_as_failure(error):
-            return
-        # A failure while the breaker was half-open (cooldown elapsed,
-        # this push was the probe) re-trips immediately.
-        failed_probe = 0.0 < record.breaker_until <= time.monotonic()
-        record.breaker_failures += 1
-        if failed_probe or \
-                record.breaker_failures >= self._breaker_threshold:
-            self._trip_breaker(record, error)
-
-    @staticmethod
-    def _counts_as_failure(error: BaseException) -> bool:
-        """Only server-side faults count toward the breaker: client
-        errors (4xx), flow-control rejections, and infrastructure
-        transients (partitions, ownership moves) must not trip it."""
-        if isinstance(error, (ShuttingDownError, CircuitOpenError,
-                              DeadlineError, CapacityError,
-                              NotOwnerError)):
-            return False
-        if isinstance(error, (FencedWriteError,
-                              StoreUnavailableError)):
-            return False  # infrastructure, not the session's fault
-        if isinstance(error, ServiceError):
-            return error.status >= 500
-        if isinstance(error, (GraphConstructionError,
-                              SanitizationError, DetectionError)):
-            return False  # rendered as 400: the payload's fault
-        return True
-
-    def _trip_breaker(self, record: SessionRecord,
-                      error: BaseException) -> None:
-        cooldown = self._breaker_cooldown * \
-            2 ** min(record.breaker_trips, 5)
-        record.breaker_until = time.monotonic() + cooldown
-        record.breaker_trips += 1
-        record.breaker_reason = f"{type(error).__name__}: {error}"
-        record.breaker_failures = 0
-        add_counter("service_breaker_trips_total")
-        _logger.warning(
-            "session %s breaker tripped for %.1fs: %s",
-            record.session_id, cooldown, record.breaker_reason,
-        )
-
-    # -- small helpers -------------------------------------------------------
-
     def _get(self, session_id: str) -> SessionRecord:
         with self._table_lock:
             record = self._sessions.get(session_id)
         if record is None:
-            record = self._discover(session_id)
+            record = self._adopt_from_store(session_id)
         if record is None:
             raise NotFoundError(f"no session {session_id!r}")
         return record
 
-    def _discover(self, session_id: str) -> SessionRecord | None:
-        """Adopt a session another replica left in the store.
-
-        Raises:
-            NotOwnerError: the session exists but its lease is held by
-                a live replica; the client should retry (here or
-                there) after the remaining TTL.
-        """
-        if not session_id or "/" in session_id:
-            return None
-        try:
-            present = any(self._store.exists(key)
-                          for key in session_keys(session_id))
-        except StoreError:
-            return None
-        if not present:
-            return None
-        lease = None
-        if self._leases is not None:
-            lease = self._acquire_with_adoption(session_id)
-            if lease is None:
-                raise self._not_owner(session_id)
-        record = self._record_from_store(session_id)
-        if record is None:
-            if lease is not None:
-                self._leases.release(lease)
-            return None
-        record.lease = lease
-        # Another request may have discovered it concurrently; the
-        # first registration wins.
-        with self._table_lock:
-            existing = self._sessions.get(session_id)
-            if existing is not None:
-                return existing
-            record.last_active = self._tick()
-            self._sessions[session_id] = record
-            self._update_gauges()
-        _logger.info("discovered session %s in %s", session_id,
-                     self._store.describe())
-        return record
-
     def _require_resident(self, record: SessionRecord,
                           ) -> DetectionStream:
-        """The session's live detector, resurrecting it if evicted."""
+        """The session's live detector (lock held), taking its lease
+        and resurrecting it if evicted."""
+        self._ownership.ensure(record)
         if record.detector is not None:
-            self._ensure_owner(record)
             return record.detector
         resumable = record.has_checkpoint or (
             record.wal is not None and record.wal.exists()
@@ -1451,8 +1062,23 @@ class SessionManager:
                 f"session {record.session_id} lost its detector "
                 "without a checkpoint or WAL"
             )
-        self._resurrect(record)
-        return record.detector
+        return self._resurrect(record)
+
+    def _new_record(self, session_id: str,
+                    config: SessionConfig) -> SessionRecord:
+        return SessionRecord(session_id, config, Breaker(
+            session_id, self._breaker_threshold, self._breaker_cooldown,
+        ))
+
+    def _register(self, record: SessionRecord) -> None:
+        with self._table_lock:
+            record.last_active = self._tick()
+            self._sessions[record.session_id] = record
+            self._update_gauges()
+
+    def _records(self) -> list[SessionRecord]:
+        with self._table_lock:
+            return list(self._sessions.values())
 
     def _touch(self, record: SessionRecord) -> None:
         with self._table_lock:
@@ -1490,20 +1116,7 @@ class SessionManager:
             "has_checkpoint": record.has_checkpoint,
             "wal": record.wal is not None,
             "degraded_pushes": record.degraded_pushes,
-            "breaker": {
-                "open": record.breaker_until > time.monotonic(),
-                "trips": record.breaker_trips,
-                "reason": record.breaker_reason or None,
-            },
+            "breaker": record.breaker.describe(),
         }
-        if self._leases is not None:
-            lease = record.lease
-            document["lease"] = {
-                "owner": self._replica_id if lease is not None else None,
-                "token": lease.token if lease is not None else None,
-                "expires_in": (
-                    round(lease.remaining(), 3)
-                    if lease is not None else None
-                ),
-            }
+        document.update(self._ownership.describe(record))
         return document

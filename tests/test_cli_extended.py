@@ -84,3 +84,38 @@ class TestJsonOut:
         flagged = [t for t in document["transitions"] if t["anomalous"]]
         assert flagged
         assert {"0", "19"} <= set(flagged[0]["nodes"][:4])
+
+
+class TestServeUsage:
+    """Bad serve options exit 1 with a one-line message, checked
+    before any port is bound or directory created."""
+
+    @pytest.fixture
+    def binds(self, tmp_path, monkeypatch):
+        from repro.observability import current_registry, disable, enable
+        from repro.service import server
+
+        bound = []
+        monkeypatch.setattr(server, "DetectionHTTPServer",
+                            lambda *args: bound.append(args))
+        monkeypatch.chdir(tmp_path)
+        previous = current_registry()
+        yield bound
+        if previous is None:
+            disable()
+        else:
+            enable(previous)
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--max-sessions", "0"], "max_sessions must be >= 1"),
+        (["--store", "local:x", "--checkpoint-dir", "y"],
+         "mutually exclusive"),
+    ])
+    def test_rejected_before_binding(self, argv, fragment, binds,
+                                     tmp_path, capsys):
+        assert main(["serve", "--port", "0", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert binds == []
+        assert list(tmp_path.iterdir()) == []

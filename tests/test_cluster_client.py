@@ -359,9 +359,19 @@ class TestRetryAfter:
     def test_retry_after_wait_is_clamped(self, monkeypatch):
         from repro.cluster import client as client_module
 
+        # Record only this thread's sleeps: background threads of other
+        # tests' replicas may sleep through the same module.
         slept = []
-        monkeypatch.setattr(client_module.time, "sleep",
-                            lambda s: slept.append(s))
+        caller = threading.get_ident()
+        real_sleep = client_module.time.sleep
+
+        def sleep(seconds):
+            if threading.get_ident() == caller:
+                slept.append(seconds)
+            else:
+                real_sleep(seconds)
+
+        monkeypatch.setattr(client_module.time, "sleep", sleep)
         stub = ScriptedReplica([
             (503, {"Retry-After": "3600"}, {"error": "maintenance"}),
         ])

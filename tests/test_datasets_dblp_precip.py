@@ -142,7 +142,7 @@ class TestPrecipitation:
     def test_all_months(self):
         simulator = PrecipitationSimulator(
             lat_step=10.0, lon_step=10.0, num_years=4,
-            start_year=1990, event_year=1992, knn=3,
+            start_year=1990, event_year=1992, knn=3, seed=3,
         )
         by_month = simulator.generate_all_months()
         assert set(by_month) == set(range(1, 13))

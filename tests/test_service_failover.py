@@ -58,13 +58,29 @@ def baseline(tmp_path, payloads):
     return entries(manager.report(sid))
 
 
+#: Every leased replica a test builds; stopped at its teardown.
+_REPLICAS: list[SessionManager] = []
+
+
+@pytest.fixture(autouse=True)
+def stop_replicas():
+    """Stop each test's replicas (lease heartbeat and catalogue
+    threads), so none keeps renewing through a slow store or sleeping
+    in later tests."""
+    yield
+    while _REPLICAS:
+        _REPLICAS.pop().abandon()
+
+
 def replica(tmp_path, name: str, ttl: float = TTL,
             **kwargs) -> SessionManager:
     store = kwargs.pop("store", None) or SharedStore(
         tmp_path / "shared", fsync=False
     )
-    return SessionManager(store=store, replica_id=name, lease_ttl=ttl,
-                          **kwargs)
+    manager = SessionManager(store=store, replica_id=name,
+                             lease_ttl=ttl, **kwargs)
+    _REPLICAS.append(manager)
+    return manager
 
 
 class TestFailover:
@@ -175,7 +191,7 @@ class TestOwnership:
             a.push(sid, payload)
         # A pauses (GC pause / network partition): heartbeat stops but
         # the process lives on with its detector in memory.
-        a._stop_heartbeat()
+        a._ownership.stop_heartbeat()
         time.sleep(TTL + 0.2)
         b = replica(tmp_path, "replica-b")
         b.push(sid, payloads[4])
@@ -189,6 +205,27 @@ class TestOwnership:
         for payload in payloads[5:]:
             b.push(sid, payload)
         assert entries(b.report(sid)) == baseline(tmp_path, payloads)
+
+    def test_delete_requires_ownership(self, tmp_path, payloads):
+        # A evicted the session (lease released, record kept), then B
+        # adopted it: A's DELETE must not wipe B's live session.
+        expected = baseline(tmp_path, payloads)
+        a = replica(tmp_path, "replica-a", max_sessions=1)
+        b = replica(tmp_path, "replica-b")
+        sid = a.create_session(CONFIG)["session"]
+        for payload in payloads[:3]:
+            a.push(sid, payload)
+        a.create_session({})  # evicts sid: npz at 3, lease released
+        b.push(sid, payloads[3])
+        stored = [key for key in b.store.list() if sid in key]
+        assert len(stored) == 3  # npz, WAL and lease record
+        with pytest.raises(NotOwnerError) as excinfo:
+            a.delete(sid)
+        assert excinfo.value.owner == "replica-b"
+        assert [key for key in b.store.list() if sid in key] == stored
+        for payload in payloads[4:]:
+            b.push(sid, payload)
+        assert entries(b.report(sid)) == expected
 
     def test_leases_off_keeps_single_replica_semantics(self, tmp_path,
                                                        payloads):
@@ -259,8 +296,7 @@ class TestStoreFaults:
 
         store = Flaky(SharedStore(tmp_path / "shared", fsync=False),
                       failures=2)
-        manager = SessionManager(store=store, replica_id="replica-a",
-                                 lease_ttl=TTL)
+        manager = replica(tmp_path, "replica-a", store=store)
         sid = manager.create_session(CONFIG)["session"]
         manager.push(sid, payloads[0])  # append retried, then lands
         assert registry.counter_value("store_write_retries_total") >= 2
@@ -274,8 +310,7 @@ class TestStoreFaults:
                                                        payloads):
         chaos = ChaosStore(SharedStore(tmp_path / "shared",
                                        fsync=False))
-        manager = SessionManager(store=chaos, replica_id="replica-a",
-                                 lease_ttl=TTL)
+        manager = replica(tmp_path, "replica-a", store=chaos)
         sid = manager.create_session(CONFIG)["session"]
         chaos.partition("")  # deny every write
         with pytest.raises(StoreUnavailableError):

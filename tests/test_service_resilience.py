@@ -4,6 +4,7 @@ shedding under sustained queue pressure."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -25,6 +26,7 @@ from repro.service import (
     bounded_retry_after,
     make_server,
 )
+from repro.service.admission import Admission
 from repro.service.errors import RETRY_AFTER_CAP, RETRY_AFTER_FLOOR
 
 from .test_service_sessions import random_payloads
@@ -86,8 +88,8 @@ class TestCircuitBreaker:
         info = manager.session_info(sid)
         assert info["breaker"]["open"] is False
         record = manager._get(sid)
-        assert record.breaker_until == 0.0
-        assert record.breaker_failures == 0
+        assert record.breaker.until == 0.0
+        assert record.breaker.failures == 0
 
     def test_failed_probe_retrips_with_longer_cooldown(
             self, tmp_path, payloads, monkeypatch):
@@ -105,8 +107,8 @@ class TestCircuitBreaker:
         with pytest.raises(SolverError):
             manager.push(sid, payloads[0])
         record = manager._get(sid)
-        assert record.breaker_trips == 2
-        assert record.breaker_until - time.monotonic() > 0.05
+        assert record.breaker.trips == 2
+        assert record.breaker.until - time.monotonic() > 0.05
 
     def test_client_errors_do_not_trip(self, tmp_path, payloads,
                                        monkeypatch):
@@ -143,7 +145,7 @@ class TestRequestDeadline:
         finally:
             record.lock.release()
         # The budget slot was released despite the timeout.
-        assert manager._in_flight == 0
+        assert manager._admission.in_flight == 0
         assert manager.push(sid, payloads[1])["pushed"] == 1
 
     def test_deadline_does_not_trip_breaker(self, tmp_path, payloads):
@@ -167,13 +169,13 @@ class TestRetryAfter:
         manager = SessionManager(checkpoint_dir=tmp_path, max_queue=2)
         sid = manager.create_session({"seed": 3})["session"]
         for _ in range(4):
-            manager._observe_latency(2.0, 1)
-        manager._acquire_ingest(2)
+            manager._admission.observe(2.0, 1)
+        manager._admission.acquire(2)
         try:
             with pytest.raises(CapacityError) as excinfo:
                 manager.push(sid, payloads[0])
         finally:
-            manager._release_ingest(2)
+            manager._admission.release(2)
         # The estimate (queue depth x mean latency = 4.0) gets up to
         # 25% of anti-stampede jitter on top, never below the base.
         assert 4.0 <= excinfo.value.retry_after <= 4.0 * 1.25
@@ -182,13 +184,13 @@ class TestRetryAfter:
         manager = SessionManager(checkpoint_dir=tmp_path, max_queue=2)
         sid = manager.create_session({"seed": 3})["session"]
         for _ in range(4):
-            manager._observe_latency(500.0, 1)
-        manager._acquire_ingest(2)
+            manager._admission.observe(500.0, 1)
+        manager._admission.acquire(2)
         try:
             with pytest.raises(CapacityError) as excinfo:
                 manager.push(sid, payloads[0])
         finally:
-            manager._release_ingest(2)
+            manager._admission.release(2)
         assert excinfo.value.retry_after == 120.0
 
     def test_oversized_batch_rejected_with_hint(self, tmp_path,
@@ -201,8 +203,38 @@ class TestRetryAfter:
 
     def test_latency_is_per_snapshot(self, tmp_path):
         manager = SessionManager(checkpoint_dir=tmp_path)
-        manager._observe_latency(8.0, 4)  # a batch of 4 took 8s
-        assert list(manager._latencies) == [2.0]
+        manager._admission.observe(8.0, 4)  # a batch of 4 took 8s
+        assert list(manager._admission.latencies) == [2.0]
+
+
+class TestAdmissionUnderContention:
+    def test_budget_holds_and_drains_under_contention(self):
+        admission = Admission(max_queue=3, degrade_pressure=0.85,
+                              degrade_after=3)
+        observed = []
+
+        def worker():
+            for _ in range(300):
+                try:
+                    admission.acquire(1)
+                except CapacityError:
+                    continue
+                observed.append(admission.in_flight)
+                admission.release(1)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert observed and max(observed) <= 3
+        assert admission.in_flight == 0  # no lost update
 
 
 class TestRetryAfterBounds:
@@ -318,7 +350,7 @@ class TestDegradedMode:
         manager = self.make_manager(tmp_path)
         sid = manager.create_session({"seed": 3,
                                       "method": "exact"})["session"]
-        manager._degraded = True
+        manager._admission.degraded = True
         response = manager.push(sid, payloads[0])
         assert "degraded" not in response
         assert manager._get(sid).degraded_pushes == 0
@@ -328,13 +360,13 @@ class TestDegradedMode:
         manager = SessionManager(checkpoint_dir=tmp_path, max_queue=1,
                                  degrade_pressure=0.9, degrade_after=2)
         sid = manager.create_session({"seed": 3})["session"]
-        manager._acquire_ingest(1)
+        manager._admission.acquire(1)
         try:
             for _ in range(2):
                 with pytest.raises(CapacityError):
                     manager.push(sid, payloads[0])
         finally:
-            manager._release_ingest(1)
+            manager._admission.release(1)
         assert manager.degraded
 
     def test_degraded_surfaces_in_listing_and_readyz(self, tmp_path):
@@ -343,7 +375,7 @@ class TestDegradedMode:
         try:
             manager = server.manager
             assert manager.list_sessions()["degraded"] is False
-            manager._degraded = True
+            manager._admission.degraded = True
             assert manager.list_sessions()["degraded"] is True
             thread = threading.Thread(target=server.serve_forever,
                                       daemon=True)
@@ -354,7 +386,7 @@ class TestDegradedMode:
             status, _, body = client.get("/readyz")
             assert status == 200
             assert body["status"] == "degraded"
-            manager._degraded = False
+            manager._admission.degraded = False
             status, _, body = client.get("/readyz")
             assert status == 200
             assert body["status"] == "ready"

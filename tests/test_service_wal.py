@@ -296,6 +296,26 @@ class TestExactlyOnceRecovery:
         assert entries(revived.report(sid)) == expected
         assert revived.session_info(sid)["pushes"] == len(payloads)
 
+    def test_failed_wal_append_is_scored_once_on_resend(
+            self, tmp_path, payloads):
+        # A push whose WAL append fails was never acknowledged: the
+        # client's resend must be scored once, not on top of the
+        # snapshot the stream already took in.
+        expected = undisturbed_entries(tmp_path, payloads)
+        store = ChaosStore(LocalDirStore(tmp_path / "partitioned"))
+        manager = SessionManager(store=store)
+        sid = manager.create_session({"seed": 3})["session"]
+        for payload in payloads[:3]:
+            manager.push(sid, payload)
+        store.partition(reads=False)  # every write fails, reads flow
+        with pytest.raises(StoreUnavailableError):
+            manager.push(sid, payloads[3])
+        store.heal()
+        for payload in payloads[3:]:
+            manager.push(sid, payload)  # resend, then the rest
+        assert entries(manager.report(sid)) == expected
+        assert manager.session_info(sid)["pushes"] == len(payloads)
+
     def test_finalize_survives_hard_kill(self, tmp_path, payloads):
         manager = SessionManager(checkpoint_dir=tmp_path)
         sid = manager.create_session({"seed": 3})["session"]
